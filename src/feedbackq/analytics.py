@@ -21,7 +21,7 @@ VARIANT_THRESHOLD_R = "threshold_r"
 VARIANT_FEEDBACK_OBSERVED = "feedback_observed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StationaryDist:
     """A finite stationary law over queue lengths (or observed queue lengths).
 

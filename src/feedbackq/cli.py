@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import secrets
 import sys
 
@@ -145,16 +146,15 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     params = _params_from(args)
     result: dict = {}
     diagnostics: dict = {}
-    if args.mode in ("n", "both"):
-        res_n = nash_n(params)
-        result["n"] = _equilibrium_payload(res_n)
-        if res_n.residual is not None:
-            diagnostics["nash_n_root"] = res_n.residual
-    if args.mode in ("r", "both"):
-        res_r = nash_r(params)
-        result["r"] = _equilibrium_payload(res_r)
-        if res_r.residual is not None:
-            diagnostics["nash_r_root"] = res_r.residual
+    root_evals: dict = {}
+    for mode, nash in (("n", nash_n), ("r", nash_r)):
+        if args.mode not in (mode, "both"):
+            continue
+        res = nash(params)
+        result[mode] = _equilibrium_payload(res)
+        root_evals[f"nash_{mode}_root"] = res.root_evals
+        if res.residual is not None:
+            diagnostics[f"nash_{mode}_root"] = res.residual
     if args.ess:
         base = result.get("n") or result.get("r")
         grid = np.round(np.arange(0.0, base["x"] + 2.0 + 1e-9, args.ess_step), 12)
@@ -167,7 +167,9 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
             "failures": list(report.failures),
             "note": report.note,
         }
-    _emit(_record("equilibrium", params, result, diagnostics))
+    record = _record("equilibrium", params, result, diagnostics)
+    record["diagnostics"]["root_evals"] = root_evals
+    _emit(record)
     if args.ess and not result["ess"]["is_ess"] and not result["ess"]["note"]:
         return 1
     return 0
@@ -321,7 +323,15 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader closed stdout (``| head``).  Point stdout at devnull so
+        # the interpreter's final flush stays silent, and exit 1 as Python
+        # itself does on EPIPE.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except ValueError as exc:
         print(json.dumps({"error": str(exc), "version": __version__}), file=sys.stderr)
         return 2

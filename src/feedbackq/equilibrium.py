@@ -5,13 +5,20 @@ structure: ``alpha_m`` (joining the last sure position m when everyone
 thresholds at m), ``beta_m`` (joining one past that, nobody reneging), and
 ``gamma_m`` (joining one past that when the others may renege).  Monotonicity
 of sojourn times in both position and threshold makes each case band
-``[alpha_m, beta_m]`` / ``(beta_m, alpha_{m+1})`` well ordered, and the mixed
-equilibria are bisection roots of a monotone indifference condition.
+``[alpha_m, beta_m]`` / ``(beta_m, alpha_{m+1})`` well ordered.  A mixed
+equilibrium is the root on (m, m+1) of a monotone indifference condition
+whose end values are critical values the ascent already holds.  A
+safeguarded Brent search takes it from there to the float resolution of the
+threshold, typically in under ten chain solves and never in more than
+``ROOT_SLACK`` beyond bisection's count.  The no-reneging ascent skips gamma
+and solves for it once, at the threshold it returns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+import sys
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -34,8 +41,11 @@ TIE_TOL = 1e-9
 #: Required accuracy of the indifference condition at a mixed root.
 ROOT_TOL = 1e-9
 
-#: Bisection iterations; the bracket shrinks to 2^-60 of a unit interval.
-BISECT_ITERS = 60
+#: Evaluations the mixed-root search may spend beyond bisection's count.
+ROOT_SLACK = 4
+
+#: Relative float spacing: the root search's shortest step and stopping width.
+_EPS = sys.float_info.epsilon
 
 #: Admitted gap between the two routes to the reneging equilibrium payoffs.
 PAYOFF_AGREEMENT_TOL = 1e-8
@@ -46,7 +56,7 @@ CASE_PURE = "pure"
 CASE_MIXED = "mixed"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CriticalValues:
     """Critical sojourn values at integer threshold m.
 
@@ -63,13 +73,14 @@ class CriticalValues:
     gamma: float
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EquilibriumResult:
     """Outcome of an equilibrium search.
 
     ``x`` is the canonical threshold value (0 for balking and for the
     indifference interval, whose span is in ``interval``).  ``residual`` is
-    the absolute value of the indifference condition at a mixed root.
+    the absolute value of the indifference condition at a mixed root, and
+    ``root_evals`` the chain solves its search spent (0 when there is none).
     """
 
     mode: str
@@ -79,9 +90,10 @@ class EquilibriumResult:
     interval: tuple[float, float] | None = None
     critical: CriticalValues | None = None
     residual: float | None = None
+    root_evals: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class EssReport:
     """Grid verdict on evolutionary stability of an equilibrium threshold."""
 
@@ -94,61 +106,108 @@ class EssReport:
     note: str = ""
 
 
-def critical_values(params: ModelParams, m: int) -> CriticalValues:
-    """alpha_m, beta_m, gamma_m via the chain solvers at integer threshold m."""
+def critical_values(params: ModelParams, m: int, *, with_gamma: bool = True) -> CriticalValues:
+    """alpha_m, beta_m, gamma_m via the chain solvers at integer threshold m.
+
+    ``with_gamma=False`` skips the reneging-tagged solve and leaves gamma nan;
+    the no-reneging ascent never reads it.
+    """
     if not isinstance(m, int) or m < 1:
         raise ValueError(f"m must be a positive integer, got {m!r}")
     w = sojourn_vector(params, float(m))
-    w_hat = sojourn_vector_r_tagged(params, float(m))
-    return CriticalValues(
-        m=m, alpha=w.at(m, m), beta=w.at(m + 1, m + 1), gamma=w_hat.at(m + 1, m + 1)
-    )
+    gamma = _gamma(params, m) if with_gamma else math.nan
+    return CriticalValues(m=m, alpha=w.at(m, m), beta=w.at(m + 1, m + 1), gamma=gamma)
 
 
-def _bisect_fraction(objective, increasing: bool, iters: int = BISECT_ITERS) -> float:
-    """Bisect a monotone objective on the open unit interval.
+def _gamma(params: ModelParams, m: int) -> float:
+    return sojourn_vector_r_tagged(params, float(m)).at(m + 1, m + 1)
 
-    The signs at the endpoints are guaranteed by the caller's case analysis
-    (negative at 0+ and positive at 1- for an increasing objective), so only
-    interior points are ever evaluated and the chain shape never changes mid
-    search.
+
+def _brent(objective, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float, int]:
+    """Root of a continuous objective whose end values differ in sign on [lo, hi].
+
+    Brent's method (Brent 1973, ch. 4): inverse quadratic or secant steps,
+    falling back to bisection whenever they stop shrinking.  Each step is
+    then projected, as in ITP (Oliveira & Takahashi 2020), into the ball
+    around the bracket's midpoint that keeps the bracket on bisection's
+    schedule plus ``ROOT_SLACK`` evaluations, so a flat or kinked objective
+    never costs more than that.  The end values come from the caller, so the
+    ends cost nothing; every evaluated point lies strictly inside the
+    bracket, and no step is shorter than one float spacing.  Stops once the
+    bracket is narrower than two relative float spacings.  Returns the better end
+    of the final bracket, the objective there and the number of evaluations.
     """
-    lo, hi = 0.0, 1.0
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        value = objective(mid)
-        below = value < 0.0 if increasing else value > 0.0
-        if below:
-            lo = mid
+    x_pre, x_cur, f_pre, f_cur = lo, hi, f_lo, f_hi
+    x_blk = f_blk = s_pre = s_cur = 0.0
+    # the schedule ends at width _EPS * lo, inside the stopping width below
+    half_width = 0.5 * _EPS * lo
+    budget = math.ceil(math.log2((hi - lo) / (2.0 * half_width))) + ROOT_SLACK
+    evals = 0
+    while True:
+        if (f_pre < 0.0) != (f_cur < 0.0) and f_pre != 0.0 and f_cur != 0.0:
+            x_blk, f_blk = x_pre, f_pre
+            s_pre = s_cur = x_cur - x_pre
+        if abs(f_blk) < abs(f_cur):
+            x_pre, x_cur, x_blk = x_cur, x_blk, x_cur
+            f_pre, f_cur, f_blk = f_cur, f_blk, f_cur
+        tol = _EPS * abs(x_cur)
+        s_bis = 0.5 * (x_blk - x_cur)
+        if f_cur == 0.0 or abs(s_bis) < tol:
+            return x_cur, f_cur, evals
+        if abs(s_pre) > tol and abs(f_cur) < abs(f_pre):
+            if x_pre == x_blk:
+                s_try = -f_cur * (x_cur - x_pre) / (f_cur - f_pre)
+            else:
+                d_pre = (f_pre - f_cur) / (x_pre - x_cur)
+                d_blk = (f_blk - f_cur) / (x_blk - x_cur)
+                s_try = -f_cur * (f_blk * d_blk - f_pre * d_pre) / (d_blk * d_pre * (f_blk - f_pre))
+            if (s_try > 0.0) == (s_bis > 0.0) and 2.0 * abs(s_try) < min(
+                abs(s_pre), 3.0 * abs(s_bis) - tol
+            ):
+                s_pre, s_cur = s_cur, s_try
+            else:
+                s_pre = s_cur = s_bis
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            s_pre = s_cur = s_bis
+        step = s_cur if abs(s_cur) > tol else math.copysign(tol, s_bis)
+        radius = half_width * 2.0 ** (budget - evals) - abs(s_bis)
+        if abs(step - s_bis) > radius:
+            step = s_bis + math.copysign(radius, step - s_bis)
+            s_pre = s_cur = step
+        x_pre, f_pre = x_cur, f_cur
+        x_cur += step
+        f_cur = objective(x_cur)
+        evals += 1
 
 
-def _mixed_root_n(params: ModelParams, m: int) -> tuple[float, float]:
-    """Root of `sojourn one past the threshold equals the reward` on (m, m+1)."""
+def _mixed_root(
+    params: ModelParams, m: int, lower: float, alpha_next: float, reneging: bool
+) -> tuple[float, float, int]:
+    """Mixed threshold in (m, m+1): root, residual and chain solves spent.
 
-    def objective(p: float) -> float:
-        return sojourn_vector(params, m + p).at(m + 1, m + 1) - params.r0
+    Without reneging the sojourn one past the threshold meets the reward;
+    with reneging the payoff there, others reneging, meets zero.  ``lower``
+    is beta_m (gamma_m when reneging) and ``alpha_next`` is alpha_{m+1}: the
+    objective's limits at the two ends of the band.
+    """
+    j = m + 1
+    if reneging:
 
-    p = _bisect_fraction(objective, increasing=True)
-    residual = abs(objective(p))
+        def objective(x: float) -> float:
+            return payoff_vector_r_tagged(params, x).at(j, j)
+
+        f_lo, f_hi = params.r0 - lower, params.r0 - alpha_next
+    else:
+
+        def objective(x: float) -> float:
+            return sojourn_vector(params, x).at(j, j) - params.r0
+
+        f_lo, f_hi = lower - params.r0, alpha_next - params.r0
+    root, value, evals = _brent(objective, float(m), float(j), f_lo, f_hi)
+    residual = abs(value)
     if residual > ROOT_TOL:
         raise ConsistencyError(f"mixed-root residual {residual:.3e} exceeds {ROOT_TOL:.1e}")
-    return m + p, residual
-
-
-def _mixed_root_r(params: ModelParams, m: int) -> tuple[float, float]:
-    """Root of the one-past-the-threshold payoff, others reneging, on (m, m+1)."""
-
-    def objective(p: float) -> float:
-        return payoff_vector_r_tagged(params, m + p).at(m + 1, m + 1)
-
-    p = _bisect_fraction(objective, increasing=False)
-    residual = abs(objective(p))
-    if residual > ROOT_TOL:
-        raise ConsistencyError(f"mixed-root residual {residual:.3e} exceeds {ROOT_TOL:.1e}")
-    return m + p, residual
+    return root, residual, evals
 
 
 def chi(params: ModelParams, m: int) -> float:
@@ -165,7 +224,7 @@ def chi(params: ModelParams, m: int) -> float:
         raise ValueError(
             f"reward {params.r0} must lie strictly in ({beta_m}, {alpha_next}) for m={m}"
         )
-    return _mixed_root_n(params, m)[0]
+    return _mixed_root(params, m, beta_m, alpha_next, reneging=False)[0]
 
 
 def nash_n(params: ModelParams) -> EquilibriumResult:
@@ -188,31 +247,33 @@ def nash_r(params: ModelParams) -> EquilibriumResult:
 
 
 def _nash(params: ModelParams, reneging: bool) -> EquilibriumResult:
-    mode = "r" if reneging else "n"
-    cv = critical_values(params, 1)
-    if abs(params.r0 - cv.alpha) <= TIE_TOL * max(1.0, cv.alpha):
-        return EquilibriumResult(
-            mode, CASE_INDIFFERENCE, 0.0, m=None, interval=(0.0, 1.0), critical=cv
-        )
-    if params.r0 < cv.alpha:
-        return EquilibriumResult(mode, CASE_BALK, 0.0, critical=cv)
-    m = 1
-    while True:
-        upper = cv.gamma if reneging else cv.beta
-        if params.r0 <= upper:
-            return EquilibriumResult(mode, CASE_PURE, float(m), m=m, critical=cv)
-        nxt = critical_values(params, m + 1)
-        if params.r0 < nxt.alpha:
-            root, residual = (
-                _mixed_root_r(params, m) if reneging else _mixed_root_n(params, m)
-            )
-            return EquilibriumResult(
-                mode, CASE_MIXED, root, m=m, critical=cv, residual=residual
-            )
-        m += 1
-        cv = nxt
-        if m > 100_000:  # alpha_m >= m / mu, so this is unreachable
-            raise ConsistencyError("equilibrium search failed to terminate")
+    r0 = params.r0
+    cv = critical_values(params, 1, with_gamma=reneging)
+    case, x, m, interval, residual, evals = CASE_BALK, 0.0, None, None, None, 0
+    if abs(r0 - cv.alpha) <= TIE_TOL * max(1.0, cv.alpha):
+        case, interval = CASE_INDIFFERENCE, (0.0, 1.0)
+    elif r0 >= cv.alpha:
+        m = 1
+        while True:
+            lower = cv.gamma if reneging else cv.beta
+            if r0 <= lower:
+                case, x = CASE_PURE, float(m)
+                break
+            nxt = critical_values(params, m + 1, with_gamma=reneging)
+            if r0 < nxt.alpha:
+                case = CASE_MIXED
+                x, residual, evals = _mixed_root(params, m, lower, nxt.alpha, reneging)
+                break
+            m += 1
+            cv = nxt
+            if m > 100_000:  # alpha_m >= m / mu, so this is unreachable
+                raise ConsistencyError("equilibrium search failed to terminate")
+    if not reneging:
+        cv = replace(cv, gamma=_gamma(params, cv.m))
+    return EquilibriumResult(
+        "r" if reneging else "n", case, x, m=m, interval=interval, critical=cv,
+        residual=residual, root_evals=evals,
+    )
 
 
 def best_response_n(params: ModelParams, x: float | Threshold) -> int:

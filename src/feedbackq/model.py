@@ -14,6 +14,7 @@ tagged customer.  States are ordered level by level:
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 #: Fractional parts below this are treated as exactly zero: the chain
@@ -21,7 +22,22 @@ from dataclasses import dataclass
 INTEGER_EPS = 1e-12
 
 
-@dataclass(frozen=True)
+def _real(value, what: str) -> float:
+    """``value`` as a finite Python float.  Python and numpy reals are
+    accepted; bools are not, though Python counts them as integers (numpy's
+    bool is no ``numbers.Real``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    try:
+        out = float(value)
+    except OverflowError:
+        out = math.inf
+    if not math.isfinite(out):
+        raise ValueError(f"{what} must be a finite real number, got {value!r}")
+    return out
+
+
+@dataclass(frozen=True, slots=True)
 class ModelParams:
     """Arrival rate, service rate, success probability, and service reward.
 
@@ -36,9 +52,7 @@ class ModelParams:
 
     def __post_init__(self) -> None:
         for name in ("lam", "mu", "q", "r0"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise ValueError(f"{name} must be a finite number, got {value!r}")
+            object.__setattr__(self, name, _real(getattr(self, name), name))
         if self.lam <= 0.0:
             raise ValueError(f"arrival rate must be positive, got {self.lam}")
         if self.mu <= 0.0:
@@ -58,7 +72,7 @@ class ModelParams:
         return ModelParams(self.lam, self.mu, self.q, r0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Threshold:
     """Join surely at positions <= n, with probability p at n + 1, never beyond."""
 
@@ -74,10 +88,11 @@ class Threshold:
 
 def make_threshold(x: float) -> Threshold:
     """Split a nonnegative real threshold into integer and fractional parts."""
-    if not isinstance(x, (int, float)) or not math.isfinite(x) or x < 0.0:
+    x = _real(x, "threshold")
+    if x < 0.0:
         raise ValueError(f"threshold must be a finite nonnegative real, got {x!r}")
     n = int(math.floor(x))
-    return Threshold(x=float(x), n=n, p=float(x) - n)
+    return Threshold(x=x, n=n, p=x - n)
 
 
 def as_threshold(x: float | Threshold) -> Threshold:

@@ -10,6 +10,7 @@ stationary mass, so the option makes everyone worse off too.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 
 from .analytics import stationary_threshold
@@ -35,7 +36,7 @@ BAND_PROVED = "gamma_beta"
 BAND_OBSERVED = "beta_alpha"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ParadoxReport:
     """Two comparable scenarios with per-inequality verdicts.
 
@@ -168,10 +169,11 @@ def paradox2_check(params: ModelParams) -> ParadoxReport:
     total_n = _equilibrium_total(params, res_n.x, z, dist_n)
     total_r = _equilibrium_total(params, res_r.x, z_hat, dist_r)
 
+    # interned: every report shares one copy of each verdict name
     verdicts: dict[str, bool] = {}
     for i in range(m):
-        verdicts[f"payoff_{i + 1}_drops"] = pay_r[i] < pay_n[i]
-        verdicts[f"mass_{i}_drops"] = mass_r[i] < mass_n[i]
+        verdicts[sys.intern(f"payoff_{i + 1}_drops")] = pay_r[i] < pay_n[i]
+        verdicts[sys.intern(f"mass_{i}_drops")] = mass_r[i] < mass_n[i]
     verdicts["total_drops"] = total_r < total_n
 
     band = BAND_PROVED if params.r0 <= res_r.critical.beta else BAND_OBSERVED

@@ -45,7 +45,7 @@ VARIANT_RENEGING_TAGGED = "reneging_tagged"
 VARIANT_RENEGING_ALL = "reneging_all"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class _JumpProbs:
     arr: float  # an arrival wins the race
     dn: float   # a service completes and the customer departs
@@ -61,7 +61,7 @@ class _JumpProbs:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class QbdBlocks:
     """Per-level transition blocks of one chain variant.
 
@@ -83,7 +83,7 @@ class QbdBlocks:
         return num_states(self.depth)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FullMatrix:
     """Dense assembly of a block chain, with per-row probability deficiency."""
 

@@ -31,7 +31,7 @@ MODE_R = "r"
 MAX_BATCH_STEPS = 10_000_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimConfig:
     """One simulation experiment's parameters.
 
@@ -70,7 +70,7 @@ class SimConfig:
         return as_threshold(self.x if self.x_tag is None else self.x_tag)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Estimate:
     """Point estimate with its standard error and sample count."""
 
@@ -79,7 +79,7 @@ class Estimate:
     count: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimResult:
     """Named estimates plus, for ergodic runs, the queue-length histogram."""
 

@@ -35,7 +35,7 @@ class ConsistencyError(RuntimeError):
     """An internal cross-check (residual, oracle agreement) failed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class UgFactors:
     """Level factors of the block elimination.
 
@@ -51,7 +51,7 @@ class UgFactors:
     g: tuple[np.ndarray | None, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ValueVector:
     """A solved value function on the triangular state space.
 

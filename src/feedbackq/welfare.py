@@ -27,7 +27,7 @@ FORM_AGREEMENT_TOL = 1e-9
 RHO_ONE_EPS = 1e-6
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class WelfareCurve:
     """Sampled welfare curves and the socially optimal integer threshold."""
 

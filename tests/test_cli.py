@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -88,6 +92,42 @@ class TestEquilibrium:
         assert code == 0
         record = json.loads(out)
         assert record["result"]["ess"]["is_ess"] is True
+
+    def test_root_evals_beside_residuals(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "equilibrium", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
+            "--r0", "7.8",
+        )
+        assert code == 0
+        diagnostics = json.loads(out)["diagnostics"]
+        assert set(diagnostics["residuals"]) == {"nash_n_root", "nash_r_root"}
+        evals = diagnostics["root_evals"]
+        assert set(evals) == {"nash_n_root", "nash_r_root"}
+        assert all(1 <= n <= 61 for n in evals.values())
+
+    def test_pure_equilibrium_spends_no_root_evals(self, capsys):
+        _, out, _ = run_cli(
+            capsys, "equilibrium", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
+            "--r0", "7.0", "--mode", "n",
+        )
+        diagnostics = json.loads(out)["diagnostics"]
+        assert diagnostics["residuals"] == {}
+        assert diagnostics["root_evals"] == {"nash_n_root": 0}
+
+    def test_closed_pipe_exits_quietly(self):
+        env = dict(os.environ)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "feedbackq", "equilibrium", "--lambda", "1", "--mu",
+             "0.8", "--q", "0.4", "--r0", "7.8", "--ess"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        )
+        proc.stdout.close()  # the reader is gone before the record is written
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == 1
+        assert b"Traceback" not in err and b"BrokenPipeError" not in err
 
     def test_invalid_params_exit_two(self, capsys):
         code, _, err = run_cli(

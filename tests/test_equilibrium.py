@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings, strategies as st
 
 from feedbackq import (
     ModelParams,
@@ -13,9 +14,17 @@ from feedbackq import (
     payoff_vector_n,
     payoff_vector_r_all,
     payoff_vector_r_tagged,
+    sojourn_vector,
     total_payoff,
 )
-from feedbackq.equilibrium import CASE_BALK, CASE_INDIFFERENCE, CASE_MIXED, CASE_PURE
+from feedbackq.equilibrium import (
+    CASE_BALK,
+    CASE_INDIFFERENCE,
+    CASE_MIXED,
+    CASE_PURE,
+    ROOT_TOL,
+    TIE_TOL,
+)
 
 from conftest import REFERENCE_CASES, params_of, random_params
 
@@ -295,3 +304,118 @@ class TestIndifferenceFlagging:
         assert res.case == CASE_INDIFFERENCE
         assert res.interval == (0.0, 1.0)
         assert res.x == 0.0
+
+
+def _bisection_fraction(objective, increasing: bool) -> float:
+    """The earlier mixed-root search: 60 halvings of the unit interval."""
+    lo, hi = 0.0, 1.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        value = objective(mid)
+        if (value < 0.0) if increasing else (value > 0.0):
+            lo = mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _reference_nash(params: ModelParams, reneging: bool) -> tuple[str, int | None, float]:
+    """Case, m and threshold by the earlier search: a linear ascent over
+    full critical values, then bisection on the band's fraction."""
+    r0 = params.r0
+    cv = critical_values(params, 1)
+    if abs(r0 - cv.alpha) <= TIE_TOL * max(1.0, cv.alpha):
+        return CASE_INDIFFERENCE, None, 0.0
+    if r0 < cv.alpha:
+        return CASE_BALK, None, 0.0
+    m = 1
+    while True:
+        if r0 <= (cv.gamma if reneging else cv.beta):
+            return CASE_PURE, m, float(m)
+        nxt = critical_values(params, m + 1)
+        if r0 < nxt.alpha:
+            break
+        m, cv = m + 1, nxt
+    if reneging:
+        p = _bisection_fraction(
+            lambda p: payoff_vector_r_tagged(params, m + p).at(m + 1, m + 1), increasing=False
+        )
+    else:
+        p = _bisection_fraction(
+            lambda p: sojourn_vector(params, m + p).at(m + 1, m + 1) - r0, increasing=True
+        )
+    return CASE_MIXED, m, m + p
+
+
+class TestMixedRootSearch:
+    """The bracketing search against the earlier bisection, reward by reward.
+
+    Rewards lie inside a mixed band (beta_m or gamma_m, alpha_{m+1}): in its
+    interior, or within 1e-9 (relative) of either edge.  Success
+    probabilities stay at or below 0.95: as q -> 1 the band closes, the
+    indifference condition flattens, and any two searches may then disagree
+    by the objective's rounding over its slope rather than by their method.
+    """
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lam=st.floats(0.1, 2.0),
+        mu=st.floats(0.1, 2.0),
+        q=st.floats(0.1, 0.95),
+        m=st.integers(1, 3),
+        reneging=st.booleans(),
+        where=st.sampled_from(["interior", "lower", "upper"]),
+        frac=st.floats(0.001, 0.999),
+        digits=st.floats(0.0, 8.0),
+    )
+    # a reward 1.4e-15 (relative) above beta_2 puts the root inside the
+    # 1e-12 band where thresholds snap to integers: the objective is flat
+    # there, interpolation stalls, and only the bisection schedule bounds
+    # the evaluations
+    @example(lam=0.27628042037390205, mu=1.8772111560772204, q=0.4286205982824901,
+             m=2, reneging=False, where="lower", frac=0.5, digits=5.85)
+    @example(lam=1.0, mu=0.8, q=0.4, m=2, reneging=True, where="upper", frac=0.5, digits=7.0)
+    def test_matches_bisection(self, lam, mu, q, m, reneging, where, frac, digits):
+        base = ModelParams(lam, mu, q)
+        lower = critical_values(base, m)
+        lower = lower.gamma if reneging else lower.beta
+        alpha_next = critical_values(base, m + 1).alpha
+        offset = 1e-9 * 10.0**-digits  # relative distance to the near edge
+        if where == "interior":
+            r0 = lower + frac * (alpha_next - lower)
+        elif where == "lower":
+            r0 = lower * (1.0 + offset)
+        else:
+            r0 = alpha_next * (1.0 - offset)
+        assume(lower < r0 < alpha_next)
+        params = base.with_r0(r0)
+
+        result = (nash_r if reneging else nash_n)(params)
+        case, ref_m, ref_x = _reference_nash(params, reneging)
+        assert (result.case, result.m) == (case, ref_m)
+        assert result.critical == critical_values(params, result.critical.m)
+        if case == CASE_MIXED:
+            assert abs(result.x - ref_x) <= 1e-12 * (ref_m + 1)
+            assert result.residual <= ROOT_TOL
+            assert 1 <= result.root_evals <= 61
+        else:
+            assert result.root_evals == 0
+
+    def test_typical_roots_take_a_few_solves(self):
+        evals = [nash_n(params_of(case)).root_evals for case in REFERENCE_CASES]
+        evals += [nash_r(params_of(case)).root_evals for case in REFERENCE_CASES]
+        assert max(evals) <= 15
+
+    def test_no_reneging_result_carries_gamma(self):
+        for r0 in (0.5, 1.0 / 0.32, 7.5, 7.8):
+            params = ModelParams(1.0, 0.8, 0.4, r0)
+            result = nash_n(params)
+            assert result.critical == critical_values(params, result.m or 1)
+            assert (result.root_evals > 0) == (result.case == CASE_MIXED)
+
+    def test_gamma_can_be_skipped(self):
+        params = ModelParams(1.0, 0.8, 0.4)
+        full = critical_values(params, 2)
+        bare = critical_values(params, 2, with_gamma=False)
+        assert (bare.alpha, bare.beta) == (full.alpha, full.beta)
+        assert np.isnan(bare.gamma)

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -28,6 +29,23 @@ class TestModelParams:
     def test_invalid_construction(self, kwargs):
         with pytest.raises(ValueError):
             ModelParams(**kwargs)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_bools_are_not_rates(self, flag):
+        with pytest.raises(ValueError):
+            ModelParams(flag, 1.0, 0.5)
+        with pytest.raises(ValueError):
+            ModelParams(1.0, 1.0, 0.5, r0=flag)
+
+    @pytest.mark.parametrize("bad", ["1", 1j, None, 10**400])
+    def test_non_reals_are_rejected(self, bad):
+        with pytest.raises(ValueError):
+            ModelParams(1.0, 1.0, 0.5, r0=bad)
+
+    def test_numpy_scalars_become_floats(self):
+        p = ModelParams(np.float32(0.5), np.int64(1), np.float64(0.25), np.int32(3))
+        assert (p.lam, p.mu, p.q, p.r0) == (0.5, 1.0, 0.25, 3.0)
+        assert all(type(v) is float for v in (p.lam, p.mu, p.q, p.r0))
 
     def test_rho_above_one_is_allowed(self):
         assert ModelParams(0.8, 1.0, 0.2).rho == pytest.approx(4.0)
@@ -58,6 +76,17 @@ class TestThreshold:
     def test_rejects_bad_input(self, bad):
         with pytest.raises(ValueError):
             make_threshold(bad)
+
+    @pytest.mark.parametrize("flag", [True, False, np.True_, np.False_])
+    def test_rejects_bools(self, flag):
+        with pytest.raises(ValueError):
+            make_threshold(flag)
+
+    def test_numpy_scalars_become_floats(self):
+        th = make_threshold(np.float32(2.5))
+        assert (th.x, th.n, th.p) == (2.5, 2, 0.5) and type(th.x) is float
+        th = make_threshold(np.int64(3))
+        assert (th.x, th.n, th.p) == (3.0, 3, 0.0) and type(th.x) is float
 
     def test_near_integer_snaps_in_branch_parts(self):
         th = make_threshold(2.0 + 1e-13)
