@@ -24,19 +24,15 @@ from .qbd import (
     FullMatrix,
     QbdBlocks,
     assemble_full,
-    build_nonreneging,
-    build_reneging_all,
-    build_reneging_tagged,
+    build_chain,
     build_rhs_payoff,
     build_rhs_sojourn,
-    matrix_to_csv,
 )
 from .solver import (
     ConsistencyError,
     UgFactors,
     ValueVector,
     factorize,
-    neumann_solve,
     payoff_vector_n,
     payoff_vector_r_all,
     payoff_vector_r_tagged,
@@ -50,7 +46,6 @@ from .analytics import (
     StationaryDist,
     feedback_observed_dist,
     renege_probability,
-    renege_probability_sequence,
     sojourn_always_join,
     stationary_always_join,
     stationary_threshold,
@@ -104,20 +99,16 @@ __all__ = [
     "inverse_index",
     "QbdBlocks",
     "FullMatrix",
-    "build_nonreneging",
-    "build_reneging_tagged",
-    "build_reneging_all",
+    "build_chain",
     "build_rhs_payoff",
     "build_rhs_sojourn",
     "assemble_full",
-    "matrix_to_csv",
     "ConsistencyError",
     "UgFactors",
     "ValueVector",
     "factorize",
     "solve_structured",
     "solve_dense",
-    "neumann_solve",
     "residual_norm",
     "sojourn_vector",
     "payoff_vector_n",
@@ -130,7 +121,6 @@ __all__ = [
     "stationary_threshold",
     "feedback_observed_dist",
     "renege_probability",
-    "renege_probability_sequence",
     "CriticalValues",
     "EquilibriumResult",
     "EssReport",

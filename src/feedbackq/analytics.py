@@ -81,19 +81,20 @@ def stationary_threshold(
         raise ValueError(f"mode must be 'n' or 'r', got {mode!r}")
     variant = VARIANT_THRESHOLD_N if mode == "n" else VARIANT_THRESHOLD_R
     th = as_threshold(x)
-    if th.x == 0.0:
-        return StationaryDist(variant, np.array([1.0]), params, th.x)
     n, p = branch_parts(th)
     rho = params.rho
-    weights = rho ** np.arange(n + 1, dtype=float)
+    # Above rho = 1 the weights grow with k: scale them by rho^-n, which keeps
+    # the largest near one and lets none overflow.
+    shift = n if rho > 1.0 else 0
+    weights = rho ** np.arange(-shift, n + 1 - shift, dtype=float)
     if th.is_integer:
         probs = weights / weights.sum()
     else:
         if mode == "n":
-            top = p * rho ** (n + 1)
+            top = p * rho ** (n + 1 - shift)
         else:
             exit_rate = params.mu * params.q + params.mu * (1.0 - params.q) * (1.0 - p)
-            top = params.lam * p / exit_rate * rho**n
+            top = params.lam * p / exit_rate * rho ** (n - shift)
         probs = np.append(weights, top) / (weights.sum() + top)
     return StationaryDist(variant, probs, params, th.x)
 
@@ -134,23 +135,3 @@ def renege_probability(params: ModelParams, x: float | Threshold) -> float:
     once = (1.0 - params.q) * (1.0 - th.p) * seen_full
     return once / (1.0 - (1.0 - params.q) * (1.0 - (1.0 - th.p) * seen_full))
 
-
-def renege_probability_sequence(
-    params: ModelParams, x: float | Threshold, kmax: int
-) -> np.ndarray:
-    """P(abandon at exactly the k-th feedback), k = 1..kmax.
-
-    Summing this sequence to infinity reproduces :func:`renege_probability`;
-    the truncated series serves as an independent oracle for the closed form.
-    """
-    th = as_threshold(x)
-    if th.x <= 0.0:
-        raise ValueError("renege probabilities require a positive threshold")
-    if kmax < 1:
-        raise ValueError(f"kmax must be >= 1, got {kmax}")
-    if th.is_integer or params.q == 1.0:
-        return np.zeros(kmax)
-    seen_full = feedback_observed_dist(params, th).probs[th.n]
-    once = (1.0 - params.q) * (1.0 - th.p) * seen_full
-    again = (1.0 - params.q) * (1.0 - (1.0 - th.p) * seen_full)
-    return once * again ** np.arange(kmax, dtype=float)

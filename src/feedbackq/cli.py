@@ -27,7 +27,7 @@ from .equilibrium import (
     nash_n,
     nash_r,
 )
-from .model import ModelParams, as_threshold, inverse_index
+from .model import ModelParams, as_threshold, chain_depth, inverse_index
 from .paradox import paradox1_check, paradox2_check
 from .simulate import SimConfig, simulate_renege_fraction, simulate_stationary, simulate_tagged
 from .solver import (
@@ -86,12 +86,7 @@ def _equilibrium_payload(res: EquilibriumResult) -> dict:
         "interval": res.interval,
     }
     if res.critical is not None:
-        payload["critical"] = {
-            "m": res.critical.m,
-            "alpha": res.critical.alpha,
-            "beta": res.critical.beta,
-            "gamma": res.critical.gamma,
-        }
+        payload["critical"] = dataclasses.asdict(res.critical)
     if res.residual is not None:
         payload["residual"] = res.residual
     return payload
@@ -108,7 +103,7 @@ def cmd_sojourn(args: argparse.Namespace) -> int:
             raise ValueError("the reneging table needs --r0 to value successful completions")
         tagged = args.tagged_threshold
         th = as_threshold(x)
-        ceiling = th.n if th.is_integer else th.n + 1
+        ceiling = chain_depth(th, False) - 1
         if tagged is not None and abs(tagged - th.x) <= 1e-12:
             vec = payoff_vector_r_all(params, x)
         elif tagged is None or tagged >= ceiling - 1e-12:
@@ -144,6 +139,8 @@ def cmd_sojourn(args: argparse.Namespace) -> int:
 
 def cmd_equilibrium(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    if args.ess and not 0.0 < args.ess_step < float("inf"):
+        raise ValueError(f"--ess-step must be a positive finite number, got {args.ess_step}")
     result: dict = {}
     diagnostics: dict = {}
     root_evals: dict = {}
@@ -159,14 +156,7 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
         base = result.get("n") or result.get("r")
         grid = np.round(np.arange(0.0, base["x"] + 2.0 + 1e-9, args.ess_step), 12)
         report = ess_check(params, base["x"], grid)
-        result["ess"] = {
-            "is_ess": report.is_ess,
-            "checked": report.checked,
-            "strict_best": report.strict_best,
-            "tie_resolved": report.tie_resolved,
-            "failures": list(report.failures),
-            "note": report.note,
-        }
+        result["ess"] = {k: v for k, v in dataclasses.asdict(report).items() if k != "x"}
     record = _record("equilibrium", params, result, diagnostics)
     record["diagnostics"]["root_evals"] = root_evals
     _emit(record)

@@ -291,15 +291,9 @@ def total_payoff(params: ModelParams, x_tag: float | Threshold, x_others: float 
     payoff wherever her own threshold lets her join (surely up to its integer
     part, with the fractional probability one position higher).
     """
-    tag = as_threshold(x_tag)
     others = as_threshold(x_others)
     dist = stationary_threshold(params, others, "n").probs
-    z = payoff_vector_n(params, others)
-    cap = min(tag.n, z.depth)
-    total = sum(dist[i - 1] * z.at(i, i) for i in range(1, cap + 1))
-    if not tag.is_integer and tag.n < z.depth:
-        total += tag.p * dist[tag.n] * z.at(tag.n + 1, tag.n + 1)
-    return float(total)
+    return payoff_vector_n(params, others).joining_mean(dist, x_tag)
 
 
 def ess_check(

@@ -105,6 +105,12 @@ def branch_parts(th: Threshold) -> tuple[int, float]:
     return th.n, 0.0 if th.is_integer else th.p
 
 
+def chain_depth(th: Threshold, reneging: bool) -> int:
+    """Levels of the tagged-customer chain under threshold ``th``:
+    ``floor(x) + 1`` with reneging, ``ceil(x) + 1`` without."""
+    return th.n + 1 if reneging or th.is_integer else th.n + 2
+
+
 def state_index(i: int, j: int) -> int:
     """1-based linear position of state (i, j) in the level-major ordering."""
     _check_state(i, j)

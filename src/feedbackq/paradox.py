@@ -166,8 +166,10 @@ def paradox2_check(params: ModelParams) -> ParadoxReport:
     pay_r = tuple(z_hat.at(i, i) for i in range(1, m + 1))
     mass_n = tuple(float(v) for v in dist_n[:m])
     mass_r = tuple(float(v) for v in dist_r[:m])
-    total_n = _equilibrium_total(params, res_n.x, z, dist_n)
-    total_r = _equilibrium_total(params, res_r.x, z_hat, dist_r)
+    # The position one past the integer part contributes its indifference
+    # payoff (zero at a mixed root) weighted by the joining probability.
+    total_n = z.joining_mean(dist_n, res_n.x)
+    total_r = z_hat.joining_mean(dist_r, res_r.x)
 
     # interned: every report shares one copy of each verdict name
     verdicts: dict[str, bool] = {}
@@ -190,16 +192,3 @@ def paradox2_check(params: ModelParams) -> ParadoxReport:
         conjecture=band == BAND_OBSERVED,
     )
 
-
-def _equilibrium_total(params, x, values, dist) -> float:
-    """Population payoff rate per arrival at an equilibrium threshold.
-
-    The position one past the integer part contributes its indifference
-    payoff (zero at a mixed root) weighted by the joining probability.
-    """
-    th = as_threshold(x)
-    n, p = branch_parts(th)
-    total = sum(dist[i - 1] * values.at(i, i) for i in range(1, min(n, values.depth) + 1))
-    if p and n < values.depth:
-        total += p * dist[n] * values.at(n + 1, n + 1)
-    return float(total)

@@ -1,7 +1,10 @@
 """Level-dependent QBD transition blocks for the threshold queueing chains.
 
-Three embedded-chain variants share the triangular state space of
-:mod:`feedbackq.model`:
+One builder, :func:`build_chain`, makes the three embedded-chain variants
+on the triangular state space of :mod:`feedbackq.model`.  Levels up to
+``floor(x)`` are the same in all three; they differ in who may renege after
+a failed service at level ``floor(x) + 1``, and in depth
+(:func:`feedbackq.model.chain_depth`):
 
 ``nonreneging``
     Nobody may leave before a successful completion.  Depth ``ceil(x) + 1``:
@@ -26,7 +29,6 @@ the renege mass ``mu (1-q)(1-p) / (lam + mu)``.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +38,7 @@ from .model import (
     Threshold,
     as_threshold,
     branch_parts,
+    chain_depth,
     level_offset,
     num_states,
 )
@@ -87,28 +90,28 @@ class QbdBlocks:
 class FullMatrix:
     """Dense assembly of a block chain, with per-row probability deficiency."""
 
-    variant: str
     depth: int
-    params: ModelParams
-    threshold: Threshold
     matrix: np.ndarray
     deficiency: np.ndarray
 
 
-def _local_block(j: int, n: int, p: float, c: _JumpProbs) -> np.ndarray:
-    """Within-level block for a level below the reneging top.
+def _local_block(
+    j: int, n: int, p: float, c: _JumpProbs, stay: float = 1.0, tagged_stay: float = 1.0
+) -> np.ndarray:
+    """Within-level block of level j.
 
     Phase 1 holds the tagged customer in service: a failed service sends her
-    to the tail, phase j of the same level.  In other phases a failed service
-    of the customer ahead moves the tagged customer up one position.  An
-    arrival keeps the level only if the newcomer balks (always above level n,
-    with probability 1 - p at level n).
+    to the tail, phase j of the same level, if she stays (``tagged_stay``).
+    In other phases a failed service of the customer ahead moves the tagged
+    customer up one position if that customer stays (``stay``).  An arrival
+    keeps the level only if the newcomer balks (always above level n, with
+    probability 1 - p at level n).
     """
     m = np.zeros((j, j))
-    m[0, j - 1] += c.fb
+    m[0, j - 1] += c.fb * tagged_stay
     if j > 1:
         rows = np.arange(1, j)
-        m[rows, rows - 1] += c.fb
+        m[rows, rows - 1] += c.fb * stay
     if j == n:
         m[np.diag_indices(j)] += c.arr * (1.0 - p)
     elif j > n:
@@ -138,74 +141,38 @@ def _down_block(j: int, rate: float) -> np.ndarray:
     herself leaving the chain.
     """
     m = np.zeros((j, j - 1))
-    if j > 1:
-        rows = np.arange(1, j)
-        m[rows, rows - 1] = rate
+    rows = np.arange(1, j)
+    m[rows, rows - 1] = rate
     return m
 
 
-def build_nonreneging(params: ModelParams, threshold: float | Threshold) -> QbdBlocks:
-    """Blocks of the chain in which nobody may renege.
+def build_chain(params: ModelParams, threshold: float | Threshold, variant: str) -> QbdBlocks:
+    """Blocks of one chain variant at threshold x.
 
-    Depth is ``ceil(x) + 1``.  For integer thresholds the top level exists
-    structurally (the tagged customer may start there) but its feeding
-    up-block is zero, so it is unreachable by later arrivals.
+    At the top level of a reneging chain a failed customer ahead of the
+    tagged one rejoins only with probability p, the fractional part of x
+    (zero for an integer x), and otherwise departs; the tagged customer does
+    so too in ``reneging_all`` and always rejoins in ``reneging_tagged``.
     """
+    if variant not in (VARIANT_NONRENEGING, VARIANT_RENEGING_TAGGED, VARIANT_RENEGING_ALL):
+        raise ValueError(f"unknown chain variant {variant!r}")
     th = as_threshold(threshold)
     n, p = branch_parts(th)
-    depth = n + 1 if th.is_integer else n + 2
+    reneging = variant != VARIANT_NONRENEGING
+    depth = chain_depth(th, reneging)
+    top = depth if reneging else 0
+    tagged_stay = p if variant == VARIANT_RENEGING_ALL else 1.0
     c = _JumpProbs.from_params(params)
-    local = tuple(_local_block(j, n, p, c) for j in range(1, depth + 1))
+    local = tuple(
+        _local_block(j, n, p, c, p, tagged_stay) if j == top else _local_block(j, n, p, c)
+        for j in range(1, depth + 1)
+    )
     up = tuple(_up_block(j, n, p, c) for j in range(1, depth))
-    down = tuple(_down_block(j, c.dn) for j in range(2, depth + 1))
-    return QbdBlocks(VARIANT_NONRENEGING, depth, params, th, local, up, down)
-
-
-def _build_reneging(
-    params: ModelParams, threshold: float | Threshold, tagged_reneges: bool
-) -> tuple[QbdBlocks, np.ndarray]:
-    th = as_threshold(threshold)
-    n, p = branch_parts(th)
-    depth = n + 1
-    c = _JumpProbs.from_params(params)
-
-    local = [_local_block(j, n, p, c) for j in range(1, depth)]
-    # Top level: arrivals balk; a failed service at the head sends that
-    # customer back to the tail only with probability p, otherwise she
-    # reneges.  The tagged customer at the head rejoins surely in the
-    # tagged-never-reneges variant.
-    top = np.zeros((depth, depth))
-    top[np.diag_indices(depth)] += c.arr
-    top[0, depth - 1] += c.fb * (p if tagged_reneges else 1.0)
-    if depth > 1:
-        rows = np.arange(1, depth)
-        top[rows, rows - 1] += c.fb * p
-    local.append(top)
-
-    up = tuple(_up_block(j, n, p, c) for j in range(1, depth))
-    down = [_down_block(j, c.dn) for j in range(2, depth)]
-    if depth >= 2:
-        # A non-tagged departure from the top level happens on success or on
-        # a failed service followed by reneging.
-        down.append(_down_block(depth, c.dn + c.fb * (1.0 - p)))
-
-    variant = VARIANT_RENEGING_ALL if tagged_reneges else VARIANT_RENEGING_TAGGED
-    blocks = QbdBlocks(variant, depth, params, th, tuple(local), up, tuple(down))
-    return blocks, build_rhs_payoff(params, depth)
-
-
-def build_reneging_tagged(
-    params: ModelParams, threshold: float | Threshold
-) -> tuple[QbdBlocks, np.ndarray]:
-    """Blocks and payoff right-hand side when only the others renege."""
-    return _build_reneging(params, threshold, tagged_reneges=False)
-
-
-def build_reneging_all(
-    params: ModelParams, threshold: float | Threshold
-) -> tuple[QbdBlocks, np.ndarray]:
-    """Blocks and payoff right-hand side when the tagged customer reneges too."""
-    return _build_reneging(params, threshold, tagged_reneges=True)
+    down = tuple(
+        _down_block(j, c.dn + c.fb * (1.0 - p) if j == top else c.dn)
+        for j in range(2, depth + 1)
+    )
+    return QbdBlocks(variant, depth, params, th, local, up, down)
 
 
 def build_rhs_payoff(params: ModelParams, depth: int) -> np.ndarray:
@@ -241,26 +208,4 @@ def assemble_full(blocks: QbdBlocks) -> FullMatrix:
             cd = level_offset(j - 1)
             mat[rows, cd : cd + j - 1] = blocks.down[j - 2]
     deficiency = 1.0 - mat.sum(axis=1)
-    return FullMatrix(
-        blocks.variant, blocks.depth, blocks.params, blocks.threshold, mat, deficiency
-    )
-
-
-def matrix_to_csv(full: FullMatrix, path_or_buffer) -> None:
-    """Debug dump: a `# variant,J,lambda,mu,q,x` header line, then dense rows."""
-    p = full.params
-    header = (
-        f"# {full.variant},{full.depth},{p.lam!r},{p.mu!r},{p.q!r},"
-        f"{full.threshold.x!r}\n"
-    )
-    if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
-        with open(path_or_buffer, "w", newline="\n") as fh:
-            _write_matrix(fh, header, full.matrix)
-    else:
-        _write_matrix(path_or_buffer, header, full.matrix)
-
-
-def _write_matrix(fh: io.TextIOBase, header: str, matrix: np.ndarray) -> None:
-    fh.write(header)
-    for row in matrix:
-        fh.write(",".join(repr(float(v)) for v in row) + "\n")
+    return FullMatrix(blocks.depth, mat, deficiency)

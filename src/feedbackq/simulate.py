@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Threshold, as_threshold, branch_parts
+from .model import ModelParams, Threshold, as_threshold, branch_parts, chain_depth
 
 MODE_N = "n"
 MODE_R = "r"
@@ -94,13 +94,6 @@ def _estimate(values: np.ndarray) -> Estimate:
     return Estimate(float(values.mean()), se, n)
 
 
-def _chain_depth(pop: Threshold, mode: str) -> int:
-    n, _ = branch_parts(pop)
-    if mode == MODE_R:
-        return n + 1
-    return n + 1 if pop.is_integer else n + 2
-
-
 def simulate_tagged(config: SimConfig, start: tuple[int, int]) -> SimResult:
     """Replicate the tagged customer's remaining trajectory from state (i, j).
 
@@ -109,8 +102,7 @@ def simulate_tagged(config: SimConfig, start: tuple[int, int]) -> SimResult:
     errors.
     """
     i0, j0 = start
-    pop = as_threshold(config.x)
-    depth = _chain_depth(pop, config.mode)
+    depth = chain_depth(as_threshold(config.x), config.mode == MODE_R)
     if not (isinstance(i0, int) and isinstance(j0, int) and 1 <= i0 <= j0 <= depth):
         raise ValueError(
             f"start state {start!r} outside the depth-{depth} state space of this mode"
@@ -262,7 +254,7 @@ def _population_run(config: SimConfig, track_payoffs: bool):
     lam, mu, q = params.lam, params.mu, params.q
     pop = as_threshold(config.x)
     n, p = branch_parts(pop)
-    kmax = 0 if pop.x == 0.0 else (n if pop.is_integer else n + 1)
+    kmax = chain_depth(pop, False) - 1
     reneging = config.mode == MODE_R
 
     warmup_events = int(config.events * config.warmup)

@@ -4,8 +4,8 @@ The structured path eliminates level by level through taboo-return blocks
 ``U``, expected-visit blocks ``Gamma``, and first-passage-down blocks ``G``;
 the dense path assembles the full matrix and uses direct elimination.  The
 two must agree to ``RESIDUAL_TOL`` relative accuracy; the dense route is the
-correctness oracle for the structured one, and a truncated series evaluation
-of ``sum_d P^d b`` cross-checks the dense route in turn.
+correctness oracle for the structured one, and the tests cross-check it in
+turn against a truncated series evaluation of ``sum_d P^d b``.
 """
 
 from __future__ import annotations
@@ -14,13 +14,23 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Threshold, level_offset, num_states, state_index
+from .model import (
+    ModelParams,
+    Threshold,
+    as_threshold,
+    branch_parts,
+    level_offset,
+    num_states,
+    state_index,
+)
 from .qbd import (
+    VARIANT_NONRENEGING,
+    VARIANT_RENEGING_ALL,
+    VARIANT_RENEGING_TAGGED,
     FullMatrix,
     QbdBlocks,
-    build_nonreneging,
-    build_reneging_all,
-    build_reneging_tagged,
+    build_chain,
+    build_rhs_payoff,
     build_rhs_sojourn,
 )
 
@@ -74,6 +84,20 @@ class ValueVector:
     def diagonal(self) -> np.ndarray:
         """Values at the joining states (j, j), j = 1..depth."""
         return np.array([self.values[state_index(j, j) - 1] for j in range(1, self.depth + 1)])
+
+    def joining_mean(self, probs: np.ndarray, x: float | Threshold) -> float:
+        """Joining-state values averaged over the law ``probs`` of the queue
+        length an arrival sees, for an arrival who thresholds at ``x``.
+
+        Seeing k - 1 customers she joins at state (k, k): surely up to the
+        integer part of x, with the fractional probability one position
+        higher, never beyond the chain.  Balking contributes zero.
+        """
+        n, p = branch_parts(as_threshold(x))
+        total = sum(probs[i - 1] * self.at(i, i) for i in range(1, min(n, self.depth) + 1))
+        if p and n < self.depth:
+            total += p * probs[n] * self.at(n + 1, n + 1)
+        return float(total)
 
 
 def factorize(blocks: QbdBlocks) -> UgFactors:
@@ -153,24 +177,6 @@ def solve_dense(full: FullMatrix, rhs: np.ndarray) -> np.ndarray:
         raise ConsistencyError("dense elimination broke down on a substochastic chain") from exc
 
 
-def neumann_solve(
-    full: FullMatrix, rhs: np.ndarray, tol: float = 1e-15, max_terms: int = 10**6
-) -> np.ndarray:
-    """Evaluate sum_d P^d rhs term by term until the increment is negligible.
-
-    Converges geometrically because the chains are strictly substochastic.
-    Used as an independent check on the elimination routes.
-    """
-    term = np.array(rhs, dtype=float)
-    total = term.copy()
-    for _ in range(max_terms):
-        term = full.matrix @ term
-        total += term
-        if np.linalg.norm(term, np.inf) < tol:
-            return total
-    raise ConsistencyError(f"series did not converge within {max_terms} terms")
-
-
 def residual_norm(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> float:
     """Relative infinity norm of (I - P) v - rhs, evaluated blockwise."""
     depth = blocks.depth
@@ -201,7 +207,7 @@ def _check_residual(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> None:
 
 def sojourn_vector(params: ModelParams, x: float | Threshold) -> ValueVector:
     """Expected remaining sojourn times when nobody may renege."""
-    blocks = build_nonreneging(params, x)
+    blocks = build_chain(params, x, VARIANT_NONRENEGING)
     v = solve_structured(blocks, build_rhs_sojourn(params, blocks.depth))
     return ValueVector("sojourn_n", v, blocks.depth, params, blocks.threshold)
 
@@ -214,7 +220,7 @@ def payoff_vector_n(params: ModelParams, x: float | Threshold) -> ValueVector:
 
 def sojourn_vector_r_tagged(params: ModelParams, x: float | Threshold) -> ValueVector:
     """Expected sojourn times when others renege but the tagged customer stays."""
-    blocks, _ = build_reneging_tagged(params, x)
+    blocks = build_chain(params, x, VARIANT_RENEGING_TAGGED)
     v = solve_structured(blocks, build_rhs_sojourn(params, blocks.depth))
     return ValueVector("sojourn_r", v, blocks.depth, params, blocks.threshold)
 
@@ -226,9 +232,9 @@ def payoff_vector_r_tagged(params: ModelParams, x: float | Threshold) -> ValueVe
     the payoff solve and reward-minus-sojourn must coincide; both are
     computed and cross-checked.
     """
-    blocks, g = build_reneging_tagged(params, x)
+    blocks = build_chain(params, x, VARIANT_RENEGING_TAGGED)
     factors = factorize(blocks)
-    z = solve_structured(blocks, g, factors)
+    z = solve_structured(blocks, build_rhs_payoff(params, blocks.depth), factors)
     w = solve_structured(blocks, build_rhs_sojourn(params, blocks.depth), factors)
     gap = float(np.max(np.abs(z - (params.r0 - w))))
     if gap > AFFINE_CHECK_TOL * max(1.0, float(np.max(np.abs(z)))):
@@ -240,6 +246,6 @@ def payoff_vector_r_tagged(params: ModelParams, x: float | Threshold) -> ValueVe
 
 def payoff_vector_r_all(params: ModelParams, x: float | Threshold) -> ValueVector:
     """Expected payoffs when every customer, tagged included, may renege."""
-    blocks, g = build_reneging_all(params, x)
-    z = solve_structured(blocks, g)
+    blocks = build_chain(params, x, VARIANT_RENEGING_ALL)
+    z = solve_structured(blocks, build_rhs_payoff(params, blocks.depth))
     return ValueVector("payoff_r_all", z, blocks.depth, params, blocks.threshold)

@@ -82,13 +82,9 @@ def welfare_flow_form(params: ModelParams, x: float | Threshold, mode: str = "n"
 def _welfare_sum(params: ModelParams, th: Threshold, mode: str) -> float:
     if th.x == 0.0:
         return 0.0
-    n, p = branch_parts(th)
     dist = stationary_threshold(params, th, mode).probs
     z = payoff_vector_n(params, th) if mode == "n" else payoff_vector_r_all(params, th)
-    total = sum(dist[k - 1] * z.at(k, k) for k in range(1, n + 1))
-    if p:
-        total += p * dist[n] * z.at(n + 1, n + 1)
-    return params.lam * float(total)
+    return params.lam * z.joining_mean(dist, th)
 
 
 def _welfare_n_closed(params: ModelParams, th: Threshold) -> float:
@@ -252,16 +248,8 @@ def is_unimodal(values: np.ndarray, tol: float = 1e-9) -> bool:
     return bool(rising and falling)
 
 
-def curve_to_csv(curve: WelfareCurve, path_or_buffer) -> None:
-    """Plot-ready dump with header ``x,S_N,S_R``."""
-    if isinstance(path_or_buffer, (str, bytes)) or hasattr(path_or_buffer, "__fspath__"):
-        with open(path_or_buffer, "w", newline="\n") as fh:
-            _write_curve(fh, curve)
-    else:
-        _write_curve(path_or_buffer, curve)
-
-
-def _write_curve(fh: io.TextIOBase, curve: WelfareCurve) -> None:
+def curve_to_csv(curve: WelfareCurve, fh: io.TextIOBase) -> None:
+    """Plot-ready dump to a text stream, with header ``x,S_N,S_R``."""
     fh.write("x,S_N,S_R\n")
     for x, sn, sr in zip(curve.x, curve.s_n, curve.s_r):
         fh.write(f"{float(x)!r},{float(sn)!r},{float(sr)!r}\n")

@@ -24,31 +24,41 @@ def oracle_join_prob(x: float, position: int) -> float:
     return x - n if position == n + 1 else 0.0
 
 
-def oracle_payoffs(lam: float, mu: float, q: float, r0: float, x: float,
-                   variant: str) -> dict[tuple[int, int], float]:
-    """Expected reward-minus-waiting from every state (i, j) with j <= floor(x) + 2."""
+def oracle_generator(lam: float, mu: float, q: float, x: float,
+                     variant: str) -> tuple[list[tuple[int, int]], np.ndarray]:
+    """States (i, j) with j <= floor(x) + 2, level by level, and the generator
+    of the tagged chain on them.  The tagged customer's completion and her
+    abandonment leave the state space, so those rows sum below zero."""
     depth = math.floor(x) + 2
     states = [(i, j) for j in range(1, depth + 1) for i in range(1, j + 1)]
     index = {state: k for k, state in enumerate(states)}
     gen = np.zeros((len(states), len(states)))
-    gain = np.full(len(states), -1.0)  # waiting cost per unit time
     for (i, j), k in index.items():
         gen[k, k] -= lam + mu
         join = oracle_join_prob(x, j + 1)  # zero at the top level
         if join:
             gen[k, index[(i, j + 1)]] += lam * join
         gen[k, k] += lam * (1.0 - join)  # the arrival balks
-        if i == 1:
-            gain[k] += mu * q * r0  # the tagged customer completes
-        else:
+        if i > 1:
             gen[k, index[(i - 1, j - 1)]] += mu * q
         may_renege = variant == "r_all" or (variant == "r_tagged" and i > 1)
         rejoin = oracle_join_prob(x, j) if may_renege else 1.0
         gen[k, index[(j, j) if i == 1 else (i - 1, j)]] += mu * (1.0 - q) * rejoin
         if i > 1:
             gen[k, index[(i - 1, j - 1)]] += mu * (1.0 - q) * (1.0 - rejoin)
+    return states, gen
+
+
+def oracle_payoffs(lam: float, mu: float, q: float, r0: float, x: float,
+                   variant: str) -> dict[tuple[int, int], float]:
+    """Expected reward-minus-waiting from every state (i, j) with j <= floor(x) + 2."""
+    states, gen = oracle_generator(lam, mu, q, x, variant)
+    gain = np.full(len(states), -1.0)  # waiting cost per unit time
+    for k, (i, _) in enumerate(states):
+        if i == 1:
+            gain[k] += mu * q * r0  # the tagged customer completes
     values = np.linalg.solve(-gen, gain)
-    return {state: float(values[k]) for state, k in index.items()}
+    return {state: float(values[k]) for k, state in enumerate(states)}
 
 
 def oracle_stationary(lam: float, mu: float, q: float, x: float, mode: str) -> np.ndarray:

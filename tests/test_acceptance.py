@@ -16,9 +16,8 @@ from feedbackq import (
     ModelParams,
     SimConfig,
     assemble_full,
-    build_nonreneging,
-    build_reneging_all,
-    build_reneging_tagged,
+    build_chain,
+    build_rhs_payoff,
     build_rhs_sojourn,
     critical_values,
     equilibrium_payoffs_r,
@@ -195,13 +194,10 @@ def test_criterion_6_oracle_equivalence():
             rng.uniform(0.0, 20.0),
         )
         x = rng.uniform(0.0, 12.0)
-        if k % 3 == 0:
-            blocks = build_nonreneging(params, x)
-            rhs = build_rhs_sojourn(params, blocks.depth)
-        elif k % 3 == 1:
-            blocks, rhs = build_reneging_tagged(params, x)
-        else:
-            blocks, rhs = build_reneging_all(params, x)
+        variant = ("nonreneging", "reneging_tagged", "reneging_all")[k % 3]
+        blocks = build_chain(params, x, variant)
+        build_rhs = build_rhs_sojourn if k % 3 == 0 else build_rhs_payoff
+        rhs = build_rhs(params, blocks.depth)
         structured = solve_structured(blocks, rhs)
         dense = solve_dense(assemble_full(blocks), rhs)
         scale = max(float(np.max(np.abs(dense))), 1e-30)

@@ -3,15 +3,31 @@ import pytest
 
 from feedbackq import (
     ModelParams,
+    as_threshold,
     feedback_observed_dist,
     renege_probability,
-    renege_probability_sequence,
     sojourn_always_join,
     stationary_always_join,
     stationary_threshold,
 )
 
+from chain_oracle import oracle_stationary
 from conftest import REFERENCE_CASES, params_of, random_params
+
+
+def renege_probability_sequence(params, x, kmax):
+    """P(abandon at exactly the k-th feedback), k = 1..kmax.
+
+    Summing this sequence to infinity reproduces :func:`renege_probability`;
+    the truncated series serves as an independent oracle for the closed form.
+    """
+    th = as_threshold(x)
+    if th.is_integer or params.q == 1.0:
+        return np.zeros(kmax)
+    seen_full = feedback_observed_dist(params, th).probs[th.n]
+    once = (1.0 - params.q) * (1.0 - th.p) * seen_full
+    again = (1.0 - params.q) * (1.0 - (1.0 - th.p) * seen_full)
+    return once * again ** np.arange(kmax, dtype=float)
 
 
 class TestAlwaysJoin:
@@ -140,6 +156,28 @@ class TestStationaryThreshold:
     def test_mode_validation(self):
         with pytest.raises(ValueError):
             stationary_threshold(ModelParams(1.0, 0.8, 0.4), 2.0, "x")
+
+    @pytest.mark.parametrize("mode", ["n", "r"])
+    @pytest.mark.parametrize("x", [500.0, 500.5])
+    def test_finite_above_unit_load_at_large_thresholds(self, x, mode):
+        # rho = 5: the unscaled weight rho^500 overflows a float
+        probs = stationary_threshold(ModelParams(1.0, 0.2, 1.0), x, mode).probs
+        assert np.all(np.isfinite(probs))
+        assert probs.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_matches_oracle_on_both_sides_of_unit_load(self, rng):
+        loads = set()
+        for k in range(60):
+            params = random_params(rng)
+            x = float(rng.integers(0, 61)) if k % 3 == 0 else rng.uniform(0.0, 60.0)
+            loads.add(params.rho > 1.0)
+            for mode in ("n", "r"):
+                np.testing.assert_allclose(
+                    stationary_threshold(params, x, mode).probs,
+                    oracle_stationary(params.lam, params.mu, params.q, x, mode),
+                    rtol=1e-12, atol=0.0,
+                )
+        assert loads == {False, True}
 
 
 class TestFeedbackObserved:

@@ -93,6 +93,16 @@ class TestEquilibrium:
         record = json.loads(out)
         assert record["result"]["ess"]["is_ess"] is True
 
+    @pytest.mark.parametrize("step", ["0", "-0.05", "nan"])
+    def test_ess_step_must_be_positive_and_finite(self, capsys, step):
+        code, out, err = run_cli(
+            capsys, "equilibrium", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
+            "--r0", "7.8", "--ess", f"--ess-step={step}",
+        )
+        assert code == 2
+        assert out == ""
+        assert "--ess-step" in json.loads(err)["error"]
+
     def test_root_evals_beside_residuals(self, capsys):
         code, out, _ = run_cli(
             capsys, "equilibrium", "--lambda", "1", "--mu", "0.8", "--q", "0.4",

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+import feedbackq
 from feedbackq import ModelParams, inverse_index, make_threshold, state_index
 from feedbackq.model import branch_parts, level_offset, num_states
 
@@ -132,3 +133,16 @@ class TestStateIndex:
     def test_level_offset_matches_index(self):
         for j in range(1, 20):
             assert level_offset(j) == state_index(1, j) - 1
+
+
+class TestPackageSurface:
+    def test_every_export_resolves_once(self):
+        missing = [name for name in feedbackq.__all__ if not hasattr(feedbackq, name)]
+        assert missing == []
+        assert len(set(feedbackq.__all__)) == len(feedbackq.__all__)
+
+    def test_star_import_binds_exactly_all(self):
+        namespace: dict = {}
+        exec("from feedbackq import *", namespace)
+        del namespace["__builtins__"]
+        assert set(namespace) == set(feedbackq.__all__)

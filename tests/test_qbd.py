@@ -1,19 +1,15 @@
-import io
-
 import numpy as np
 import pytest
 
 from feedbackq import (
     ModelParams,
     assemble_full,
-    build_nonreneging,
-    build_reneging_all,
-    build_reneging_tagged,
+    build_chain,
     build_rhs_payoff,
-    matrix_to_csv,
 )
-from feedbackq.model import level_offset, num_states
+from feedbackq.model import inverse_index, level_offset, num_states
 
+from chain_oracle import oracle_generator
 from conftest import random_params
 
 
@@ -24,12 +20,12 @@ def phase_one_rows(depth):
 class TestShapes:
     @pytest.mark.parametrize("x,depth", [(0.0, 1), (0.5, 2), (1.0, 2), (2.0, 3), (2.073, 4), (7.3, 9)])
     def test_nonreneging_depth(self, x, depth):
-        blocks = build_nonreneging(ModelParams(1.0, 0.8, 0.4), x)
+        blocks = build_chain(ModelParams(1.0, 0.8, 0.4), x, "nonreneging")
         assert blocks.depth == depth
 
     @pytest.mark.parametrize("x,depth", [(0.5, 1), (1.0, 2), (2.073, 3), (2.0, 3), (7.3, 8)])
     def test_reneging_depth(self, x, depth):
-        blocks, _ = build_reneging_tagged(ModelParams(1.0, 0.8, 0.4), x)
+        blocks = build_chain(ModelParams(1.0, 0.8, 0.4), x, "reneging_tagged")
         assert blocks.depth == depth
 
     def test_block_dimensions(self, rng):
@@ -37,9 +33,9 @@ class TestShapes:
             params = random_params(rng)
             x = rng.uniform(0.1, 8.0)
             for blocks in (
-                build_nonreneging(params, x),
-                build_reneging_tagged(params, x)[0],
-                build_reneging_all(params, x)[0],
+                build_chain(params, x, "nonreneging"),
+                build_chain(params, x, "reneging_tagged"),
+                build_chain(params, x, "reneging_all"),
             ):
                 for j in range(1, blocks.depth + 1):
                     assert blocks.local[j - 1].shape == (j, j)
@@ -49,6 +45,30 @@ class TestShapes:
                         assert blocks.down[j - 2].shape == (j, j - 1)
 
 
+class TestOracleGenerator:
+    def test_every_variant_is_the_embedded_oracle_generator(self, rng):
+        # P = I + Q/(lam + mu) on the chain's states, and no oracle rate from
+        # those states reaches past the chain's depth
+        worst = 0.0
+        for k in range(60):
+            params = random_params(rng)
+            x = (float(rng.integers(0, 8)), rng.uniform(0.0, 1.0), rng.uniform(0.0, 8.0))[k % 3]
+            for variant, name in (("nonreneging", "n"), ("reneging_tagged", "r_tagged"),
+                                  ("reneging_all", "r_all")):
+                full = assemble_full(build_chain(params, x, variant))
+                states, gen = oracle_generator(params.lam, params.mu, params.q, x, name)
+                size = full.matrix.shape[0]
+                assert states[:size] == [inverse_index(s) for s in range(1, size + 1)]
+                assert np.all(gen[:size, size:] == 0.0)
+                embedded = np.eye(size) + gen[:size, :size] / (params.lam + params.mu)
+                worst = max(worst, float(np.max(np.abs(full.matrix - embedded))))
+        assert worst <= 1e-15
+
+    def test_unknown_variant_rejected(self):
+        with pytest.raises(ValueError):
+            build_chain(ModelParams(1.0, 0.8, 0.4), 2.5, "reneging")
+
+
 class TestRowSums:
     def test_nonreneging_exact_accounting(self, rng):
         # rows where the tagged customer is in service lose exactly the
@@ -56,7 +76,7 @@ class TestRowSums:
         for _ in range(20):
             params = random_params(rng)
             x = rng.uniform(0.0, 9.0)
-            full = assemble_full(build_nonreneging(params, x))
+            full = assemble_full(build_chain(params, x, "nonreneging"))
             leak = params.mu * params.q / (params.lam + params.mu)
             expected = np.zeros(full.matrix.shape[0])
             expected[phase_one_rows(full.depth)] = leak
@@ -68,7 +88,7 @@ class TestRowSums:
             x = rng.uniform(0.05, 9.0)
             if abs(x - round(x)) < 1e-9:
                 continue
-            blocks, _ = build_reneging_all(params, x)
+            blocks = build_chain(params, x, "reneging_all")
             full = assemble_full(blocks)
             p = blocks.threshold.p
             leak = params.mu * params.q / (params.lam + params.mu)
@@ -82,9 +102,8 @@ class TestRowSums:
         for _ in range(20):
             params = random_params(rng)
             x = rng.uniform(0.0, 9.0)
-            for build in (build_nonreneging, lambda p, t: build_reneging_tagged(p, t)[0],
-                          lambda p, t: build_reneging_all(p, t)[0]):
-                full = assemble_full(build(params, x))
+            for variant in ("nonreneging", "reneging_tagged", "reneging_all"):
+                full = assemble_full(build_chain(params, x, variant))
                 assert np.all(full.matrix.sum(axis=1) <= 1.0 + 1e-14)
                 assert np.all(full.matrix >= 0.0)
 
@@ -93,7 +112,7 @@ class TestStructure:
     def test_small_chain_entries(self):
         # x in (0, 1): two levels, arrivals balk everywhere, services feed back
         params = ModelParams(1.0, 0.8, 0.4)
-        blocks = build_nonreneging(params, 0.5)
+        blocks = build_chain(params, 0.5, "nonreneging")
         denom = 1.8
         np.testing.assert_allclose(blocks.local[0], [[(1.0 + 0.48) / denom]])
         np.testing.assert_allclose(
@@ -106,7 +125,7 @@ class TestStructure:
         assert full.matrix[0, 0] == pytest.approx(1.0 - 0.32 / denom)
 
     def test_integer_threshold_top_level_unreachable(self):
-        blocks = build_nonreneging(ModelParams(0.7, 1.1, 0.6), 2.0)
+        blocks = build_chain(ModelParams(0.7, 1.1, 0.6), 2.0, "nonreneging")
         assert blocks.depth == 3
         np.testing.assert_array_equal(blocks.up[1], np.zeros((2, 3)))
         # interior up-blocks still feed upward
@@ -114,15 +133,15 @@ class TestStructure:
 
     def test_fractional_up_block_carries_join_probability(self):
         params = ModelParams(1.0, 0.8, 0.4)
-        blocks = build_nonreneging(params, 2.6)
+        blocks = build_chain(params, 2.6, "nonreneging")
         np.testing.assert_allclose(np.diag(blocks.up[1][:, :2]), np.full(2, 1.0 * 0.6 / 1.8))
         np.testing.assert_array_equal(blocks.up[2], np.zeros((3, 4)))
 
     def test_reneging_top_blocks(self):
         params = ModelParams(1.0, 0.8, 0.4)
         p = 0.327
-        tagged, _ = build_reneging_tagged(params, 2.327)
-        everyone, _ = build_reneging_all(params, 2.327)
+        tagged = build_chain(params, 2.327, "reneging_tagged")
+        everyone = build_chain(params, 2.327, "reneging_all")
         denom = 1.8
         fb = 0.8 * 0.6 / denom
         down_rate = (0.32 + 0.48 * (1 - p)) / denom
@@ -140,9 +159,9 @@ class TestStructure:
         # below the top level the three chains are identical when x is integer
         for m in (1, 2, 4):
             params = random_params(rng)
-            base = build_nonreneging(params, float(m))
-            for blocks in (build_reneging_tagged(params, float(m))[0],
-                           build_reneging_all(params, float(m))[0]):
+            base = build_chain(params, float(m), "nonreneging")
+            for blocks in (build_chain(params, float(m), "reneging_tagged"),
+                           build_chain(params, float(m), "reneging_all")):
                 shared = num_states(m)
                 fb_full = assemble_full(base).matrix[:shared, :shared]
                 rn_full = assemble_full(blocks).matrix[:shared, :shared]
@@ -160,8 +179,8 @@ class TestStructure:
             n = int(np.floor(x))
             p = x - n
             shared = num_states(n + 1)
-            full_n = assemble_full(build_nonreneging(params, x)).matrix
-            full_r = assemble_full(build_reneging_tagged(params, x)[0]).matrix
+            full_n = assemble_full(build_chain(params, x, "nonreneging")).matrix
+            full_r = assemble_full(build_chain(params, x, "reneging_tagged")).matrix
             assert np.all(full_n[:shared, shared:] == 0.0)
             c = params.mu * (1 - params.q) * (1 - p) / (params.lam + params.mu)
             correction = np.zeros((shared, shared))
@@ -176,7 +195,7 @@ class TestStructure:
         # radius, which must sit strictly below one
         for _ in range(5):
             params = random_params(rng)
-            full = assemble_full(build_nonreneging(params, rng.uniform(0.5, 6.0)))
+            full = assemble_full(build_chain(params, rng.uniform(0.5, 6.0), "nonreneging"))
             v = np.ones(full.matrix.shape[0])
             for _ in range(200):
                 v = full.matrix @ v
@@ -197,15 +216,3 @@ class TestPayoffRhs:
         expected[[0, 1, 3]] += reward
         np.testing.assert_allclose(g, expected)
 
-
-class TestCsvDump:
-    def test_header_and_shape(self):
-        params = ModelParams(1.0, 0.8, 0.4)
-        full = assemble_full(build_nonreneging(params, 1.5))
-        buf = io.StringIO()
-        matrix_to_csv(full, buf)
-        lines = buf.getvalue().strip().split("\n")
-        assert lines[0] == "# nonreneging,3,1.0,0.8,0.4,1.5"
-        assert len(lines) == 1 + full.matrix.shape[0]
-        first = [float(v) for v in lines[1].split(",")]
-        np.testing.assert_allclose(first, full.matrix[0])

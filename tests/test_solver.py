@@ -5,12 +5,10 @@ from feedbackq import (
     ConsistencyError,
     ModelParams,
     assemble_full,
-    build_nonreneging,
-    build_reneging_all,
-    build_reneging_tagged,
+    build_chain,
+    build_rhs_payoff,
     build_rhs_sojourn,
     factorize,
-    neumann_solve,
     payoff_vector_n,
     payoff_vector_r_all,
     payoff_vector_r_tagged,
@@ -25,9 +23,24 @@ from conftest import REFERENCE_CASES, params_of, random_params
 
 
 def all_builders(params, x):
-    yield build_nonreneging(params, x)
-    yield build_reneging_tagged(params, x)[0]
-    yield build_reneging_all(params, x)[0]
+    for variant in ("nonreneging", "reneging_tagged", "reneging_all"):
+        yield build_chain(params, x, variant)
+
+
+def neumann_solve(full, rhs, tol=1e-15, max_terms=10**6):
+    """Evaluate sum_d P^d rhs term by term until the increment is negligible.
+
+    Converges geometrically because the chains are strictly substochastic.
+    Used as an independent check on the elimination routes.
+    """
+    term = np.array(rhs, dtype=float)
+    total = term.copy()
+    for _ in range(max_terms):
+        term = full.matrix @ term
+        total += term
+        if np.linalg.norm(term, np.inf) < tol:
+            return total
+    raise ConsistencyError(f"series did not converge within {max_terms} terms")
 
 
 class TestFactorize:
@@ -50,7 +63,7 @@ class TestFactorize:
     def test_first_passage_rows_are_subprobabilities(self, rng):
         for _ in range(15):
             params = random_params(rng)
-            blocks = build_nonreneging(params, rng.uniform(0.5, 8.0))
+            blocks = build_chain(params, rng.uniform(0.5, 8.0), "nonreneging")
             f = factorize(blocks)
             for j in range(2, blocks.depth + 1):
                 g = f.g[j - 1]
@@ -59,7 +72,7 @@ class TestFactorize:
 
     def test_single_level_chain(self):
         params = ModelParams(1.0, 0.8, 0.4)
-        blocks = build_nonreneging(params, 0.0)
+        blocks = build_chain(params, 0.0, "nonreneging")
         f = factorize(blocks)
         assert f.depth == 1
         v = solve_structured(blocks, build_rhs_sojourn(params, 1), f)
@@ -72,7 +85,7 @@ class TestOracleEquivalence:
         for _ in range(100):
             params = random_params(rng, r0_span=(0.0, 20.0))
             x = rng.uniform(0.0, 12.0)
-            blocks = build_nonreneging(params, x)
+            blocks = build_chain(params, x, "nonreneging")
             rhs = build_rhs_sojourn(params, blocks.depth)
             vs = solve_structured(blocks, rhs)
             vd = solve_dense(assemble_full(blocks), rhs)
@@ -83,8 +96,9 @@ class TestOracleEquivalence:
         for _ in range(30):
             params = random_params(rng, r0_span=(0.0, 20.0))
             x = rng.uniform(0.1, 9.0)
-            for build in (build_reneging_tagged, build_reneging_all):
-                blocks, g = build(params, x)
+            for variant in ("reneging_tagged", "reneging_all"):
+                blocks = build_chain(params, x, variant)
+                g = build_rhs_payoff(params, blocks.depth)
                 vs = solve_structured(blocks, g)
                 vd = solve_dense(assemble_full(blocks), g)
                 scale = max(np.max(np.abs(vd)), 1.0)
@@ -93,7 +107,7 @@ class TestOracleEquivalence:
     def test_neumann_series_matches_elimination(self, rng):
         for _ in range(10):
             params = random_params(rng)
-            blocks = build_nonreneging(params, rng.uniform(0.2, 6.0))
+            blocks = build_chain(params, rng.uniform(0.2, 6.0), "nonreneging")
             full = assemble_full(blocks)
             rhs = build_rhs_sojourn(params, blocks.depth)
             series = neumann_solve(full, rhs)
@@ -102,13 +116,13 @@ class TestOracleEquivalence:
 
     def test_zero_rhs_gives_zero(self):
         params = ModelParams(1.0, 0.8, 0.4)
-        blocks = build_nonreneging(params, 2.5)
+        blocks = build_chain(params, 2.5, "nonreneging")
         full = assemble_full(blocks)
         np.testing.assert_array_equal(solve_dense(full, np.zeros(blocks.num_states)), 0.0)
 
     def test_residual_norm_flags_wrong_solution(self):
         params = ModelParams(1.0, 0.8, 0.4)
-        blocks = build_nonreneging(params, 2.5)
+        blocks = build_chain(params, 2.5, "nonreneging")
         rhs = build_rhs_sojourn(params, blocks.depth)
         good = solve_structured(blocks, rhs)
         assert residual_norm(blocks, good, rhs) < 1e-12
@@ -223,7 +237,7 @@ class TestValueVectors:
 
     def test_rhs_shape_validation(self):
         params = ModelParams(1.0, 0.8, 0.4)
-        blocks = build_nonreneging(params, 2.5)
+        blocks = build_chain(params, 2.5, "nonreneging")
         with pytest.raises(ValueError):
             solve_structured(blocks, np.ones(3))
         with pytest.raises(ValueError):
@@ -231,6 +245,6 @@ class TestValueVectors:
 
     def test_neumann_cap_raises(self):
         params = ModelParams(1.0, 0.8, 0.4)
-        full = assemble_full(build_nonreneging(params, 3.0))
+        full = assemble_full(build_chain(params, 3.0, "nonreneging"))
         with pytest.raises(ConsistencyError):
             neumann_solve(full, build_rhs_sojourn(params, 4), tol=0.0, max_terms=5)
