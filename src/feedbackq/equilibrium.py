@@ -291,9 +291,15 @@ def total_payoff(params: ModelParams, x_tag: float | Threshold, x_others: float 
     payoff wherever her own threshold lets her join (surely up to its integer
     part, with the fractional probability one position higher).
     """
-    others = as_threshold(x_others)
-    dist = stationary_threshold(params, others, "n").probs
-    return payoff_vector_n(params, others).joining_mean(dist, x_tag)
+    values, dist = _population(params, x_others)
+    return values.joining_mean(dist, x_tag)
+
+
+def _population(params: ModelParams, x: float | Threshold) -> tuple[ValueVector, np.ndarray]:
+    """Positional payoffs of, and the law an arrival sees in, a population
+    thresholding at ``x``."""
+    others = as_threshold(x)
+    return payoff_vector_n(params, others), stationary_threshold(params, others, "n").probs
 
 
 def ess_check(
@@ -319,7 +325,8 @@ def ess_check(
             failures=grid,
             note="reward equals the lone-customer sojourn: all thresholds in [0, 1] tie",
         )
-    u_ee = total_payoff(params, x_e, x_e)
+    values_e, dist_e = _population(params, x_e)
+    u_ee = values_e.joining_mean(dist_e, x_e)
     scale = max(1.0, abs(u_ee))
     strict = 0
     resolved = 0
@@ -330,12 +337,13 @@ def ess_check(
         if abs(dx - x_e) <= 1e-12:
             continue
         checked += 1
-        u_de = total_payoff(params, dx, x_e)
+        u_de = values_e.joining_mean(dist_e, dx)
         if u_ee > u_de + tie_tol * scale:
             strict += 1
         elif abs(u_ee - u_de) <= tie_tol * scale:
-            u_ed = total_payoff(params, x_e, dx)
-            u_dd = total_payoff(params, dx, dx)
+            values_d, dist_d = _population(params, dx)
+            u_ed = values_d.joining_mean(dist_d, x_e)
+            u_dd = values_d.joining_mean(dist_d, dx)
             if u_ed > u_dd + tie_tol * max(1.0, abs(u_ed)):
                 resolved += 1
             else:

@@ -12,12 +12,23 @@ All randomness flows from one 64-bit seed.  Tagged replications run in
 vectorised batches, one spawned child stream per batch, so results are
 bit-reproducible and batches are embarrassingly parallel.  Ergodic runs use
 a single stream with chunked draws and report batch-means standard errors.
+
+The ergodic engine is table-driven.  Each event's uniforms give it a class
+(arrival joining or balking at the boundary, success, failure staying or
+leaving), and the only sequential work is the queue-length recursion
+``k = table[code + k]``, one ``itertools.accumulate`` step per event.
+Everything else is vectorised over sub-blocks of events: holding times,
+event times by a cumulative sum, batch membership, occupancy and counts
+summed in event order.  Payoff tracking treats the queue as a run of
+slots, each service reading the head slot and each join or staying failure
+appending one, and resolves every slot to its customer's join time by
+pointer doubling.  Outputs equal those of a per-event loop bit for bit.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -29,6 +40,12 @@ MODE_R = "r"
 #: Iteration guard for the vectorised batch loop; absorption times have
 #: geometric tails, so hitting this means a bug, not a slow run.
 MAX_BATCH_STEPS = 10_000_000
+
+#: Ergodic runs draw their randoms in chunks of this many events and do the
+#: vectorised bookkeeping in sub-blocks of this many, which bounds the
+#: transient arrays and the one Python list each sub-block builds.
+CHUNK = 1 << 16
+SUB_BLOCK = 4096
 
 
 @dataclass(frozen=True, slots=True)
@@ -270,82 +287,133 @@ def _population_run(config: SimConfig, track_payoffs: bool):
     payoff_sums = np.zeros(n_batches)
     payoff_counts = np.zeros(n_batches)
 
+    table, stride = _transition_table(n, p, kmax, reneging)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
-    chunk = 1 << 16
-    exps = rng.exponential(1.0, chunk)
-    us = rng.random(chunk)
-    vs = rng.random(chunk)
-    ws = rng.random(chunk)
-    ptr = 0
-
     pr_arrival = lam / (lam + mu)
-    queue: deque[tuple[float, int]] = deque()  # (join time, batch at arrival or -1)
+    # Draws are refilled in place chunk by chunk; the standard exponential
+    # fill gives the same values as ``rng.exponential(1.0, CHUNK)``.
+    exps, us, vs, ws = (np.empty(CHUNK) for _ in range(4))
     k = 0
     now = 0.0
-    batch = 0
-    for event in range(config.events):
-        if ptr == chunk:
-            exps = rng.exponential(1.0, chunk)
-            us = rng.random(chunk)
-            vs = rng.random(chunk)
-            ws = rng.random(chunk)
-            ptr = 0
-        e, u, v, w3 = exps[ptr], us[ptr], vs[ptr], ws[ptr]
-        ptr += 1
+    # Join times and batches (-1 before the window) of the queued customers,
+    # head first.
+    queue_t = np.empty(0)
+    queue_b = np.empty(0, dtype=np.int64)
+    for chunk_start in range(0, config.events, CHUNK):
+        rng.standard_exponential(out=exps)
+        rng.random(out=us)
+        rng.random(out=vs)
+        rng.random(out=ws)
+        chunk_events = min(CHUNK, config.events - chunk_start)
+        for lo in range(0, chunk_events, SUB_BLOCK):
+            hi = min(lo + SUB_BLOCK, chunk_events)
+            e, u, v, w = exps[lo:hi], us[lo:hi], vs[lo:hi], ws[lo:hi]
+            codes = stride * ((u < pr_arrival) + 2 * (v < p) + 4 * (v < q) + 8 * (w < p))
+            # The one sequential step: the queue length before each event.
+            ks = np.fromiter(
+                accumulate(codes.tolist(), lambda k, code: table[code + k], initial=k),
+                dtype=np.int64,
+                count=hi - lo + 1,
+            )
+            k = int(ks[-1])
+            if k > kmax:
+                raise RuntimeError("population exceeded its reachable level; dynamics are broken")
+            before, after = ks[:-1], ks[1:]
+            arrival = (before == 0) | (u < pr_arrival)
+            service = ~arrival
+            success = service & (v < q)
+            joined = after > before
+            leaves = service & ~success & (after < before)
 
-        in_window = event >= warmup_events
-        if in_window and event >= bounds[batch]:
-            batch += 1
+            dt = np.where(before == 0, e / lam, e / (lam + mu))
+            times = np.cumsum(np.concatenate(([now], dt)))[1:]  # the sequential sum
+            now = times[-1]
 
-        if k == 0:
-            dt = e / lam
-            arrival = True
-        else:
-            dt = e / (lam + mu)
-            arrival = u < pr_arrival
-        now += dt
-        if in_window:
-            occupancy[batch, k] += dt
-
-        if arrival:
-            pos = k + 1
-            joined = pos <= n or (pos == n + 1 and v < p)
-            if in_window:
-                payoff_counts[batch] += 1.0
-            if joined:
-                if in_window:
-                    joins[batch] += 1.0
-                k += 1
-                if track_payoffs:
-                    queue.append((now, batch if in_window else -1))
-            # a balking arrival contributes a zero payoff, already counted
-        else:
-            success = v < q
-            if success:
-                k -= 1
-                if track_payoffs:
-                    t_join, b = queue.popleft()
-                    if b >= 0:
-                        payoff_sums[b] += params.r0 - (now - t_join)
-            else:
-                stays = (not reneging) or k <= n or (k == n + 1 and w3 < p)
-                if stays:
-                    if track_payoffs:
-                        queue.append(queue.popleft())
-                else:
-                    k -= 1
-                    if in_window:
-                        reneges[batch] += 1.0
-                    if track_payoffs:
-                        t_join, b = queue.popleft()
-                        if b >= 0:
-                            payoff_sums[b] -= now - t_join
-        if k > kmax:
-            raise RuntimeError("population exceeded its reachable level; dynamics are broken")
+            first = chunk_start + lo
+            win = min(max(warmup_events - first, 0), hi - lo)
+            batch = np.full(hi - lo, -1, dtype=np.int64)
+            batch[win:] = np.searchsorted(bounds, np.arange(first + win, first + hi - lo), "right")
+            in_batch = batch[win:]
+            # add.at adds in event order, so every cell sums as the loop did.
+            np.add.at(occupancy, (in_batch, before[win:]), dt[win:])
+            payoff_counts += np.bincount(in_batch[arrival[win:]], minlength=n_batches)
+            joins += np.bincount(in_batch[joined[win:]], minlength=n_batches)
+            reneges += np.bincount(in_batch[leaves[win:]], minlength=n_batches)
+            if track_payoffs:
+                queue_t, queue_b = _track_payoffs(
+                    queue_t, queue_b, service, success, leaves, joined, times, batch,
+                    params.r0, payoff_sums,
+                )
     if track_payoffs:
         # Arrivals still in flight never resolve a payoff; drop them from the
         # denominator rather than counting them as zero.
-        for _, b in queue:
-            if b >= 0:
-                payoff_counts[b] -= 1.0
+        payoff_counts -= np.bincount(queue_b[queue_b >= 0], minlength=n_batches)
     return occupancy, joins, reneges, payoff_sums, payoff_counts
+
+
+def _transition_table(n: int, p: float, kmax: int, reneging: bool) -> tuple[list[int], int]:
+    """Next queue length, flattened as ``table[code + k]`` with
+    ``code = stride * class``.  The event class packs four bits: arrival
+    (u below the arrival share), v < p (an arrival at position n + 1 joins),
+    v < q (a service succeeds), w < p (a failed customer at level n + 1
+    stays).  At k = 0 every event is an arrival.  Level kmax + 1 is a spare
+    absorbing state that flags broken dynamics."""
+    stride = kmax + 2
+    table = []
+    for cls in range(16):
+        arrival, joins_at_edge, success, stays_at_edge = (cls >> b & 1 for b in range(4))
+        for k in range(stride):
+            if k > kmax:
+                nxt = k
+            elif k == 0 or arrival:
+                nxt = k + (k + 1 <= n or (k + 1 == n + 1 and joins_at_edge))
+            elif success:
+                nxt = k - 1
+            else:
+                stays = not reneging or k <= n or (k == n + 1 and stays_at_edge)
+                nxt = k if stays else k - 1
+            table.append(nxt)
+    return table, stride
+
+
+def _track_payoffs(queue_t, queue_b, service, success, leaves, joined, times, batch, r0, payoff_sums):
+    """Follow one sub-block's customers through the FIFO with feedback.
+
+    The queue is a run of slots: each service reads the head slot, and each
+    join or failed-and-staying customer appends one.  A stay's slot points at
+    the slot it read, so resolving pointers (by doubling) gives every slot its
+    customer's join time and batch.  Departures add their realised payoff in
+    event order; the unread slots are the queue carried into the next block.
+    """
+    held = len(queue_t)
+    read = np.cumsum(service) - 1  # slot read by each service
+    stays = service & ~success & ~leaves
+    appended = np.flatnonzero(joined | stays)
+    slots = held + len(appended)
+    source = np.arange(slots)
+    slot_t = np.empty(slots)
+    slot_b = np.empty(slots, dtype=np.int64)
+    slot_t[:held] = queue_t
+    slot_b[:held] = queue_b
+    new = held + np.arange(len(appended))
+    is_stay = stays[appended]
+    source[new[is_stay]] = read[appended[is_stay]]
+    slot_t[new[~is_stay]] = times[appended[~is_stay]]
+    slot_b[new[~is_stay]] = batch[appended[~is_stay]]
+    while True:
+        hop = source[source]
+        if np.array_equal(hop, source):
+            break
+        source = hop
+    slot_t = slot_t[source]
+    slot_b = slot_b[source]
+
+    departs = np.flatnonzero(success | leaves)
+    t_join = slot_t[read[departs]]
+    b = slot_b[read[departs]]
+    waited = times[departs] - t_join
+    realised = np.where(success[departs], r0 - waited, -waited)
+    counted = b >= 0
+    np.add.at(payoff_sums, b[counted], realised[counted])
+    served = int(service.sum())
+    return slot_t[served:], slot_b[served:]

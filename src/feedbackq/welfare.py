@@ -90,30 +90,38 @@ def _welfare_sum(params: ModelParams, th: Threshold, mode: str) -> float:
 def _welfare_n_closed(params: ModelParams, th: Threshold) -> float:
     n, p = branch_parts(th)
     rho = params.rho
-    num = params.lam * params.r0 * (rho - 1.0) * ((1.0 + p * (rho - 1.0)) * rho**n - 1.0) + rho * (
-        (1.0 - n * (1.0 + p * (rho - 1.0)) * (rho - 1.0) - p * (rho - 1.0) ** 2) * rho**n - 1.0
+    # Above rho = 1 numerator and denominator are divided by rho^n (as in
+    # stationary_threshold), so neither overflows at large thresholds.
+    shift = n if rho > 1.0 else 0
+    one, rho_n = (rho ** (k - shift) for k in (0, n))
+    num = params.lam * params.r0 * (rho - 1.0) * ((1.0 + p * (rho - 1.0)) * rho_n - one) + rho * (
+        (1.0 - n * (1.0 + p * (rho - 1.0)) * (rho - 1.0) - p * (rho - 1.0) ** 2) * rho_n - one
     )
-    den = 1.0 + rho * ((1.0 + p * (rho - 1.0)) * (rho - 1.0) * rho**n - 1.0)
+    den = one + rho * ((1.0 + p * (rho - 1.0)) * (rho - 1.0) * rho_n - one)
     return num / den
 
 
 def _welfare_r_closed(params: ModelParams, th: Threshold) -> float:
     # Collapse of the flow form's geometric sums (reward throughput thinned
-    # by the abandonment probability, minus the mean queue length).
+    # by the abandonment probability, minus the mean queue length), scaled
+    # by rho^-n above rho = 1 as in _welfare_n_closed.
     n, p = branch_parts(th)
     rho, q = params.rho, params.q
+    shift = n if rho > 1.0 else 0
+    one, rho_n, rho_n1, rho_n2 = (rho ** (k - shift) for k in (0, n, n + 1, n + 2))
     num = (
-        params.r0 * params.mu * q * (rho - 1.0) * (p * q * (1.0 - rho ** (n + 1)) + (1.0 - p) * (1.0 - rho**n))
-        + n * (rho - 1.0) * rho**n * (1.0 - p + p * q * rho)
-        + p * q * (rho ** (n + 2) - 2.0 * rho ** (n + 1) + 1.0)
-        - (1.0 - p) * (rho**n - 1.0)
+        params.r0 * params.mu * q * (rho - 1.0) * (p * q * (one - rho_n1) + (1.0 - p) * (one - rho_n))
+        + n * (rho - 1.0) * rho_n * (1.0 - p + p * q * rho)
+        + p * q * (rho_n2 - 2.0 * rho_n1 + one)
+        - (1.0 - p) * (rho_n - one)
     )
-    den = (rho - 1.0) * (p * q * (1.0 - rho ** (n + 2)) + (1.0 - p) * (1.0 - rho ** (n + 1)))
+    den = (rho - 1.0) * (p * q * (one - rho_n2) + (1.0 - p) * (one - rho_n1))
     return rho * num / den
 
 
 def _check_forms(summation: float, closed: float, mode: str) -> None:
-    if abs(summation - closed) > FORM_AGREEMENT_TOL * max(1.0, abs(summation)):
+    # Written so that a nan on either side fails the check.
+    if not abs(summation - closed) <= FORM_AGREEMENT_TOL * max(1.0, abs(summation)):
         raise ConsistencyError(
             f"welfare forms disagree in mode {mode!r}: "
             f"summation {summation!r} vs closed {closed!r}"

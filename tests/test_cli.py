@@ -174,6 +174,18 @@ class TestWelfare:
         np.testing.assert_allclose(integer_rows[:, 1], integer_rows[:, 2], atol=1e-9)
 
 
+    def test_large_thresholds_above_balance(self, capsys):
+        # The closed-form cross-check used to overflow from x = 236 on.
+        code, out, _ = run_cli(
+            capsys, "welfare", "--lambda", "20", "--mu", "1", "--q", "1", "--r0", "5",
+            "--x-max", "250", "--grid-step", "10",
+        )
+        assert code == 0
+        curve = json.loads(out)["result"]["curve"]
+        assert curve[-1]["x"] == 250.0
+        assert all(np.isfinite(row["s_n"]) and np.isfinite(row["s_r"]) for row in curve)
+
+
 class TestParadox:
     def test_reneging_comparison(self, capsys):
         code, out, _ = run_cli(

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from feedbackq import (
+    EssReport,
     ModelParams,
     best_response_n,
     chi,
@@ -246,6 +247,75 @@ class TestEss:
         report = ess_check(tie, 0.5, np.arange(0.0, 1.0001, 0.1))
         assert not report.is_ess
         assert "tie" in report.note
+
+
+def _ess_per_deviation(params, x_e, deviations, tie_tol=TIE_TOL):
+    """The ESS grid check as it stood before it reused the equilibrium
+    population's solve: every payoff through ``total_payoff``."""
+    cv = critical_values(params, 1)
+    if abs(params.r0 - cv.alpha) <= tie_tol * max(1.0, cv.alpha):
+        grid = tuple(float(d) for d in deviations if abs(float(d) - x_e) > 1e-12)
+        return EssReport(
+            x=x_e, is_ess=False, checked=len(grid), strict_best=0, tie_resolved=0,
+            failures=grid,
+            note="reward equals the lone-customer sojourn: all thresholds in [0, 1] tie",
+        )
+    u_ee = total_payoff(params, x_e, x_e)
+    scale = max(1.0, abs(u_ee))
+    strict = resolved = checked = 0
+    failures = []
+    for dev in deviations:
+        dx = float(dev)
+        if abs(dx - x_e) <= 1e-12:
+            continue
+        checked += 1
+        u_de = total_payoff(params, dx, x_e)
+        if u_ee > u_de + tie_tol * scale:
+            strict += 1
+        elif abs(u_ee - u_de) <= tie_tol * scale:
+            u_ed = total_payoff(params, x_e, dx)
+            u_dd = total_payoff(params, dx, dx)
+            if u_ed > u_dd + tie_tol * max(1.0, abs(u_ed)):
+                resolved += 1
+            else:
+                failures.append(dx)
+        else:
+            failures.append(dx)
+    return EssReport(
+        x=x_e, is_ess=not failures, checked=checked, strict_best=strict,
+        tie_resolved=resolved, failures=tuple(failures),
+    )
+
+
+class TestEssMatchesPerDeviationCheck:
+    def test_seeded_draws(self, rng):
+        resolved = failed = 0
+        for i in range(16):
+            params = random_params(rng, (0.5, 12.0))
+            # Equilibria (mixed ones tie every deviation inside their band)
+            # and arbitrary thresholds, which fail the check.
+            x_e = nash_n(params).x if i % 2 == 0 else float(rng.uniform(0.0, 4.0))
+            step = (0.05, 0.1, 0.25)[i % 3]
+            grid = np.round(np.arange(0.0, x_e + 2.0 + 1e-9, step), 12)
+            report = ess_check(params, x_e, grid)
+            assert report == _ess_per_deviation(params, x_e, grid)
+            resolved += report.tie_resolved
+            failed += len(report.failures)
+        assert resolved > 0 and failed > 0
+
+    def test_readme_grid_resolves_ties(self):
+        params = params_of(REFERENCE_CASES[0])
+        x_e = nash_n(params).x
+        grid = np.round(np.arange(0.0, x_e + 2.0 + 1e-9, 0.05), 12)
+        report = ess_check(params, x_e, grid)
+        assert report.tie_resolved > 0
+        assert report == _ess_per_deviation(params, x_e, grid)
+
+    def test_lone_customer_tie(self):
+        params = ModelParams(1.0, 0.8, 0.4)
+        tie = params.with_r0(critical_values(params, 1).alpha)
+        grid = np.arange(0.0, 1.0001, 0.1)
+        assert ess_check(tie, 0.5, grid) == _ess_per_deviation(tie, 0.5, grid)
 
 
 class TestEquilibriumPayoffsR:

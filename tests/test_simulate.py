@@ -15,6 +15,10 @@ from feedbackq import (
     stationary_threshold,
     total_payoff,
 )
+from feedbackq import simulate
+from feedbackq.simulate import _population_run
+
+from population_oracle import population_run_oracle
 
 
 def within(estimate, target, k=3.0):
@@ -172,3 +176,65 @@ class TestEventStream:
             SimConfig(params=params, x=2.0, warmup=1.0)
         with pytest.raises(ValueError):
             SimConfig(params=params, x=-1.0)
+
+
+def _engine_configs():
+    """64 seeded ergodic configurations: both modes, integer thresholds,
+    thresholds below one, q = 1, warmup 0 / 0.1 / 0.5, tiny runs, runs past
+    one 65,536-draw chunk with a partial last chunk, and x = 50."""
+    rng = np.random.default_rng(20261018)
+    configs = []
+    for i in range(64):
+        lam, mu = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.3, 2.0))
+        q = 1.0 if i % 5 == 0 else float(rng.uniform(0.1, 1.0))
+        x = (
+            float(rng.integers(0, 7)),  # integer, zero included
+            float(rng.uniform(0.0, 1.0)),  # below one
+            float(rng.uniform(1.0, 7.0)),
+        )[i % 3]
+        events = int(rng.integers(1_000, 6_000))
+        if i % 16 == 7:
+            events = 65_536 + int(rng.integers(1, 65_536))
+        if i in (10, 41):
+            lam, mu, q, x, events = 0.95, 1.0, 1.0, 50.0 + 0.5 * (i == 41), 70_001
+        if i == 20:
+            events = 3
+        configs.append(
+            SimConfig(
+                params=ModelParams(lam, mu, q, float(rng.uniform(0.5, 10.0)) / (mu * q)),
+                x=x,
+                mode="r" if i % 2 else "n",
+                events=events,
+                seed=int(rng.integers(2**32)),
+                warmup=(0.0, 0.1, 0.5)[i % 3 if i % 4 else (i // 4) % 3],
+            )
+        )
+    return configs
+
+
+class TestErgodicEngine:
+    @pytest.mark.parametrize("config", _engine_configs(), ids=lambda c: f"seed{c.seed}")
+    def test_matches_per_event_loop_bit_for_bit(self, config):
+        for track_payoffs in (False, True):
+            got = _population_run(config, track_payoffs)
+            want = population_run_oracle(config, track_payoffs)
+            assert len(got) == len(want) == 5
+            for a, b in zip(got, want):
+                np.testing.assert_array_equal(a, b, strict=True)
+
+    def test_configs_cover_the_edge_cases(self):
+        configs = _engine_configs()
+        xs = [c.x for c in configs]
+        assert {c.mode for c in configs} == {"n", "r"}
+        assert any(x == int(x) for x in xs) and any(0.0 < x < 1.0 for x in xs)
+        assert 50.0 in xs and 50.5 in xs
+        assert any(c.params.q == 1.0 for c in configs)
+        assert {c.warmup for c in configs} == {0.0, 0.1, 0.5}
+        assert any(c.events > 65_536 and c.events % 65_536 for c in configs)
+
+    def test_exceeding_the_reachable_level_raises(self, monkeypatch):
+        # Understate the depth so that joins can outgrow the table.
+        monkeypatch.setattr(simulate, "chain_depth", lambda th, reneging: th.n)
+        cfg = SimConfig(params=ModelParams(1.0, 0.8, 0.8), x=2.5, events=10_000, seed=3)
+        with pytest.raises(RuntimeError, match="exceeded its reachable level"):
+            _population_run(cfg, False)

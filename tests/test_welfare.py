@@ -14,7 +14,17 @@ from feedbackq import (
     welfare_n,
     welfare_r,
 )
-from feedbackq.welfare import derivative_sign_core, _marginal_root
+from feedbackq import welfare
+from feedbackq.model import make_threshold
+from feedbackq.solver import ConsistencyError
+from feedbackq.welfare import (
+    FORM_AGREEMENT_TOL,
+    _check_forms,
+    _marginal_root,
+    _welfare_n_closed,
+    _welfare_r_closed,
+    derivative_sign_core,
+)
 
 from conftest import random_params
 
@@ -210,3 +220,31 @@ class TestBalancedLoadCurve:
         assert np.all(np.isfinite(curve.s_r))
         values = [welfare_n(params, float(k)) for k in range(10)]
         assert curve.n_star == int(np.argmax(values))
+
+
+class TestLargeThresholdsAboveBalance:
+    # rho = 20: the unscaled closed forms overflowed from x = 236 on.
+    PARAMS = ModelParams(20.0, 1.0, 1.0, 5.0)
+
+    @pytest.mark.parametrize("x", [236.5, 240.5, 400.5])
+    def test_closed_forms_finite_and_match_flow_form(self, x):
+        th = make_threshold(x)
+        for mode, closed in (("n", _welfare_n_closed), ("r", _welfare_r_closed)):
+            value = closed(self.PARAMS, th)
+            flow = welfare_flow_form(self.PARAMS, x, mode)
+            assert np.isfinite(value)
+            assert abs(value - flow) <= FORM_AGREEMENT_TOL * max(1.0, abs(flow))
+
+    @pytest.mark.parametrize("x", [236.5, 240.5])
+    def test_checked_welfare_is_finite(self, x):
+        for mode, welfare in (("n", welfare_n), ("r", welfare_r)):
+            value = welfare(self.PARAMS, x)
+            flow = welfare_flow_form(self.PARAMS, x, mode)
+            assert abs(value - flow) <= FORM_AGREEMENT_TOL * max(1.0, abs(flow))
+
+    def test_nan_closed_form_fails_the_check(self, monkeypatch):
+        with pytest.raises(ConsistencyError):
+            _check_forms(1.0, float("nan"), "n")
+        monkeypatch.setattr(welfare, "_welfare_n_closed", lambda params, th: float("nan"))
+        with pytest.raises(ConsistencyError, match="disagree"):
+            welfare_n(FIG_PARAMS, 2.5)
