@@ -206,7 +206,7 @@ def _engine_configs():
                 mode="r" if i % 2 else "n",
                 events=events,
                 seed=int(rng.integers(2**32)),
-                warmup=(0.0, 0.1, 0.5)[i % 3 if i % 4 else (i // 4) % 3],
+                warmup=(0.0, 0.1, 0.5)[(i // 2) % 3],
             )
         )
     return configs
