@@ -21,25 +21,20 @@ from .model import (
     state_index,
 )
 from .qbd import (
-    FullMatrix,
     QbdBlocks,
-    assemble_full,
     build_chain,
     build_rhs_payoff,
     build_rhs_sojourn,
 )
 from .solver import (
     ConsistencyError,
-    UgFactors,
     ValueVector,
-    factorize,
     payoff_vector_n,
     payoff_vector_r_all,
     payoff_vector_r_tagged,
     residual_norm,
     sojourn_vector,
     sojourn_vector_r_tagged,
-    solve_dense,
     solve_structured,
 )
 from .analytics import (
@@ -98,17 +93,12 @@ __all__ = [
     "state_index",
     "inverse_index",
     "QbdBlocks",
-    "FullMatrix",
     "build_chain",
     "build_rhs_payoff",
     "build_rhs_sojourn",
-    "assemble_full",
     "ConsistencyError",
-    "UgFactors",
     "ValueVector",
-    "factorize",
     "solve_structured",
-    "solve_dense",
     "residual_norm",
     "sojourn_vector",
     "payoff_vector_n",

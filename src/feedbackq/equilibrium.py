@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import stationary_threshold
-from .model import ModelParams, Threshold, as_threshold
+from .model import ModelParams, Threshold, as_threshold, positive_int
 from .solver import (
     ConsistencyError,
     ValueVector,
@@ -112,8 +112,7 @@ def critical_values(params: ModelParams, m: int, *, with_gamma: bool = True) -> 
     ``with_gamma=False`` skips the reneging-tagged solve and leaves gamma nan;
     the no-reneging ascent never reads it.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m = positive_int(m, "m")
     w = sojourn_vector(params, float(m))
     gamma = _gamma(params, m) if with_gamma else math.nan
     return CriticalValues(m=m, alpha=w.at(m, m), beta=w.at(m + 1, m + 1), gamma=gamma)
@@ -216,8 +215,7 @@ def chi(params: ModelParams, m: int) -> float:
     Requires the reward to lie strictly between beta_m and alpha_{m+1} so the
     monotone objective brackets a root.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m = positive_int(m, "m")
     beta_m = sojourn_vector(params, float(m)).at(m + 1, m + 1)
     alpha_next = sojourn_vector(params, float(m + 1)).at(m + 1, m + 1)
     if not beta_m < params.r0 < alpha_next:

@@ -37,6 +37,14 @@ def _real(value, what: str) -> float:
     return out
 
 
+def positive_int(value, what: str) -> int:
+    """``value`` as a Python int >= 1.  Any ``numbers.Integral`` is accepted,
+    numpy's included; bools and integral floats are not."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+    return int(value)
+
+
 @dataclass(frozen=True, slots=True)
 class ModelParams:
     """Arrival rate, service rate, success probability, and service reward.

@@ -22,7 +22,7 @@ from .equilibrium import (
     nash_r,
     equilibrium_payoffs_r,
 )
-from .model import ModelParams, as_threshold, branch_parts
+from .model import ModelParams, as_threshold, branch_parts, positive_int
 from .solver import ConsistencyError, payoff_vector_n, sojourn_vector
 
 #: Agreement demanded between the closed-form sojourn gaps and the solver.
@@ -98,8 +98,7 @@ def paradox1_check(params_base: ModelParams, m: int, r1: float, r2: float) -> Pa
     position m strictly drops when the reward rises.  Proved for m in {1, 2};
     larger m is flagged as extrapolation.
     """
-    if not isinstance(m, int) or m < 1:
-        raise ValueError(f"m must be a positive integer, got {m!r}")
+    m = positive_int(m, "m")
     if not r1 <= r2:
         raise ValueError(f"rewards must satisfy r1 <= r2, got {r1} > {r2}")
     cv = critical_values(params_base, m)

@@ -25,6 +25,11 @@ epochs of the exponential race between arrivals (rate ``lam``) and services
 deficient: the success mass ``mu q / (lam + mu)`` leaves the chain, and in
 the ``reneging_all`` variant the top-level phase-1 row additionally loses
 the renege mass ``mu (1-q)(1-p) / (lam + mu)``.
+
+The blocks are all the structured solver
+(:func:`feedbackq.solver.solve_structured`) reads: it eliminates them level
+by level, from level 1 up, and never assembles the full matrix.  The dense
+assembly used as its oracle lives with the tests.
 """
 
 from __future__ import annotations
@@ -84,15 +89,6 @@ class QbdBlocks:
     @property
     def num_states(self) -> int:
         return num_states(self.depth)
-
-
-@dataclass(frozen=True, slots=True)
-class FullMatrix:
-    """Dense assembly of a block chain, with per-row probability deficiency."""
-
-    depth: int
-    matrix: np.ndarray
-    deficiency: np.ndarray
 
 
 def _local_block(
@@ -192,20 +188,3 @@ def build_rhs_sojourn(params: ModelParams, depth: int) -> np.ndarray:
     """Constant right-hand side for expected-sojourn solves."""
     return np.full(num_states(depth), 1.0 / (params.lam + params.mu))
 
-
-def assemble_full(blocks: QbdBlocks) -> FullMatrix:
-    """Dense block-tridiagonal matrix in state-index order, plus row deficiencies."""
-    size = blocks.num_states
-    mat = np.zeros((size, size))
-    for j in range(1, blocks.depth + 1):
-        r = level_offset(j)
-        rows = slice(r, r + j)
-        mat[rows, r : r + j] = blocks.local[j - 1]
-        if j < blocks.depth:
-            cu = level_offset(j + 1)
-            mat[rows, cu : cu + j + 1] = blocks.up[j - 1]
-        if j > 1:
-            cd = level_offset(j - 1)
-            mat[rows, cd : cd + j - 1] = blocks.down[j - 2]
-    deficiency = 1.0 - mat.sum(axis=1)
-    return FullMatrix(blocks.depth, mat, deficiency)

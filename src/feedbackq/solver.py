@@ -1,15 +1,17 @@
-"""Two independent solvers for (I - P) v = b on the threshold QBD chains.
+"""The structured solver for (I - P) v = b on the threshold QBD chains, and
+the sojourn and payoff vectors built on it.
 
-The structured path eliminates level by level through taboo-return blocks
-``U``, expected-visit blocks ``Gamma``, and first-passage-down blocks ``G``;
-the dense path assembles the full matrix and uses direct elimination.  The
-two must agree to ``RESIDUAL_TOL`` relative accuracy; the dense route is the
-correctness oracle for the structured one, and the tests cross-check it in
-turn against a truncated series evaluation of ``sum_d P^d b``.
+:func:`solve_structured` is the linear level reduction for level-dependent
+QBDs (Gaver, Jacobs & Latouche 1984): one forward block elimination from
+level 1 upward, then back-substitution, for any number of right-hand-side
+columns.  Every solved column must meet ``RESIDUAL_TOL`` in relative
+residual.  The tests cross-check it against a dense elimination oracle
+(``tests/dense_oracle.py``) and a truncated series of ``sum_d P^d b``.
 """
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,14 +22,12 @@ from .model import (
     as_threshold,
     branch_parts,
     level_offset,
-    num_states,
     state_index,
 )
 from .qbd import (
     VARIANT_NONRENEGING,
     VARIANT_RENEGING_ALL,
     VARIANT_RENEGING_TAGGED,
-    FullMatrix,
     QbdBlocks,
     build_chain,
     build_rhs_payoff,
@@ -43,22 +43,6 @@ AFFINE_CHECK_TOL = 1e-10
 
 class ConsistencyError(RuntimeError):
     """An internal cross-check (residual, oracle agreement) failed."""
-
-
-@dataclass(frozen=True, slots=True)
-class UgFactors:
-    """Level factors of the block elimination.
-
-    ``u[j-1]`` collects the probabilities of returning to level j without
-    having visited level j-1, ``g[j-1]`` the first-passage probabilities from
-    level j to level j-1, and ``gamma[j-1]`` the expected visits to level j
-    states, before returning below, per entry into level j-1.
-    """
-
-    depth: int
-    u: tuple[np.ndarray, ...]
-    gamma: tuple[np.ndarray | None, ...]
-    g: tuple[np.ndarray | None, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -100,85 +84,76 @@ class ValueVector:
         return float(total)
 
 
-def factorize(blocks: QbdBlocks) -> UgFactors:
-    """Backward elimination of the level-dependent blocks, top level first."""
+def _per_column(
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray], a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """``f(a, b)`` one column of b at a time.  numpy and BLAS take other
+    routes for one column than for several, so a product or solve on all
+    columns at once would not reproduce the single-column solves bit for bit."""
+    if b.shape[1] == 1:
+        return f(a, b)
+    return np.hstack([f(a, b[:, i : i + 1]) for i in range(b.shape[1])])
+
+
+def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
+    """Forward pass of :func:`solve_structured`: k_j and h_j for j = 1..depth
+    (k_depth has no columns)."""
     depth = blocks.depth
-    u: list[np.ndarray | None] = [None] * depth
-    gamma: list[np.ndarray | None] = [None] * depth
-    g: list[np.ndarray | None] = [None] * depth
-    u[depth - 1] = np.array(blocks.local[depth - 1])
-    for j in range(depth, 1, -1):
-        iu = np.eye(j) - u[j - 1]
+    width = cols.shape[1]
+    ks: list[np.ndarray] = []
+    hs: list[np.ndarray] = []
+    for j in range(1, depth + 1):
+        o = level_offset(j)
+        s = np.eye(j) - blocks.local[j - 1]
+        c = cols[o : o + j]
+        if j > 1:
+            d = blocks.down[j - 2]
+            s -= d @ ks[-1]
+            c = c + _per_column(np.matmul, d, hs[-1])
         try:
-            g[j - 1] = np.linalg.solve(iu, blocks.down[j - 2])
-            gamma[j - 1] = np.linalg.solve(iu.T, blocks.up[j - 2].T).T
+            if j < depth:
+                kh = np.linalg.solve(s, np.concatenate((blocks.up[j - 1], c), axis=1))
+            else:
+                kh = _per_column(np.linalg.solve, s, c)
         except np.linalg.LinAlgError as exc:
             raise ConsistencyError(f"singular elimination block at level {j}") from exc
-        u[j - 2] = blocks.local[j - 2] + blocks.up[j - 2] @ g[j - 1]
-    return UgFactors(depth, tuple(u), tuple(gamma), tuple(g))
+        ks.append(kh[:, :-width])
+        hs.append(kh[:, -width:])
+    return ks, hs
 
 
-def solve_structured(
-    blocks: QbdBlocks, rhs: np.ndarray, factors: UgFactors | None = None
-) -> np.ndarray:
-    """Solve (I - P) v = rhs through the level factors.
+def solve_structured(blocks: QbdBlocks, rhs: np.ndarray) -> np.ndarray:
+    """Solve (I - P) v = rhs by linear level reduction, level 1 first.
 
-    The right-hand side is folded downward through the expected-visit blocks
-    (each Gamma product term of the level recursion is accumulated in Horner
-    form), the one-phase level 1 closes the recursion with a scalar division,
-    and the solution is completed by forward substitution through the
-    first-passage blocks.
+    Level j's equation is S_j v_j = U_j v_{j+1} + c_j once the levels below
+    are folded in through v_{j-1} = h_{j-1} + k_{j-1} v_j, with
+    S_j = I - L_j - D_j k_{j-1} and c_j = b_j + D_j h_{j-1}.  One solve of S_j
+    on [U_j | c_j] gives k_j, the first-passage-up probabilities from level j,
+    and h_j.  The top level has no U block, so v_J = h_J, and
+    back-substitution v_j = h_j + k_j v_{j+1} completes the solution.  ``rhs``
+    may hold several columns, all solved in the one elimination; each is
+    residual-checked.
     """
     depth = blocks.depth
     b = np.asarray(rhs, dtype=float)
-    if b.shape != (blocks.num_states,):
-        raise ValueError(f"rhs must have {blocks.num_states} entries, got {b.shape}")
-    f = factors if factors is not None else factorize(blocks)
-    segments = [b[level_offset(j) : level_offset(j) + j] for j in range(1, depth + 1)]
-
-    if depth == 1:
-        v = segments[0] / (1.0 - f.u[0][0, 0])
-        _check_residual(blocks, v, b)
-        return v
-
-    folded: list[np.ndarray | None] = [None] * depth
-    folded[depth - 1] = segments[depth - 1]
-    for j in range(depth - 1, 0, -1):
-        folded[j - 1] = segments[j - 1] + f.gamma[j] @ folded[j]
-
-    y: list[np.ndarray | None] = [None] * depth
-    prev = np.zeros(1)
-    for j in range(2, depth + 1):
-        y[j - 1] = np.linalg.solve(np.eye(j) - f.u[j - 1], folded[j - 1]) + f.g[j - 1] @ prev
-        prev = y[j - 1]
-
-    y1 = segments[0] + blocks.up[0] @ y[1]
-    head = y1 / (1.0 - f.u[0][0, 0])
-
-    v = np.empty_like(b)
-    v[0] = head[0]
-    chain = head
-    for j in range(2, depth + 1):
-        chain = f.g[j - 1] @ chain
-        v[level_offset(j) : level_offset(j) + j] = y[j - 1] + chain
+    if b.ndim not in (1, 2) or b.shape[0] != blocks.num_states or b.size == 0:
+        raise ValueError(f"rhs must have {blocks.num_states} rows, got shape {b.shape}")
+    cols = b.reshape(blocks.num_states, -1)
+    ks, hs = _eliminate(blocks, cols)
+    v = np.empty_like(cols)
+    h = hs[-1]
+    for j in range(depth, 0, -1):
+        if j < depth:
+            h = hs[j - 1] + _per_column(np.matmul, ks[j - 1], h)
+        v[level_offset(j) : level_offset(j) + j] = h
+    v = v.reshape(b.shape)
     _check_residual(blocks, v, b)
     return v
 
 
-def solve_dense(full: FullMatrix, rhs: np.ndarray) -> np.ndarray:
-    """Direct elimination oracle on the assembled matrix."""
-    b = np.asarray(rhs, dtype=float)
-    size = full.matrix.shape[0]
-    if b.shape != (size,):
-        raise ValueError(f"rhs must have {size} entries, got {b.shape}")
-    try:
-        return np.linalg.solve(np.eye(size) - full.matrix, b)
-    except np.linalg.LinAlgError as exc:
-        raise ConsistencyError("dense elimination broke down on a substochastic chain") from exc
-
-
 def residual_norm(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> float:
-    """Relative infinity norm of (I - P) v - rhs, evaluated blockwise."""
+    """Relative infinity norm of (I - P) v - rhs, evaluated blockwise; for
+    several columns, the largest column's."""
     depth = blocks.depth
     r = np.empty_like(v)
     for j in range(1, depth + 1):
@@ -192,8 +167,8 @@ def residual_norm(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> float:
             od = level_offset(j - 1)
             acc -= blocks.down[j - 2] @ v[od : od + j - 1]
         r[o : o + j] = acc
-    scale = max(float(np.linalg.norm(rhs, np.inf)), np.finfo(float).tiny)
-    return float(np.linalg.norm(r, np.inf)) / scale
+    scale = np.maximum(np.abs(rhs).max(axis=0), np.finfo(float).tiny)
+    return float(np.max(np.abs(r).max(axis=0) / scale))
 
 
 def _check_residual(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> None:
@@ -233,9 +208,10 @@ def payoff_vector_r_tagged(params: ModelParams, x: float | Threshold) -> ValueVe
     computed and cross-checked.
     """
     blocks = build_chain(params, x, VARIANT_RENEGING_TAGGED)
-    factors = factorize(blocks)
-    z = solve_structured(blocks, build_rhs_payoff(params, blocks.depth), factors)
-    w = solve_structured(blocks, build_rhs_sojourn(params, blocks.depth), factors)
+    rhs = np.column_stack(
+        (build_rhs_payoff(params, blocks.depth), build_rhs_sojourn(params, blocks.depth))
+    )
+    z, w = solve_structured(blocks, rhs).T
     gap = float(np.max(np.abs(z - (params.r0 - w))))
     if gap > AFFINE_CHECK_TOL * max(1.0, float(np.max(np.abs(z)))):
         raise ConsistencyError(

@@ -15,7 +15,6 @@ import pytest
 from feedbackq import (
     ModelParams,
     SimConfig,
-    assemble_full,
     build_chain,
     build_rhs_payoff,
     build_rhs_sojourn,
@@ -34,7 +33,6 @@ from feedbackq import (
     simulate_tagged,
     socially_optimal_threshold,
     sojourn_vector,
-    solve_dense,
     solve_structured,
     stationary_threshold,
     welfare_n,
@@ -45,6 +43,7 @@ from feedbackq.welfare import _grid_argmax
 
 from chain_oracle import oracle_root, oracle_table
 from conftest import ERRATA, REPORTED_CASES, case_key, params_of
+from dense_oracle import assemble_full, solve_dense
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:

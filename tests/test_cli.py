@@ -40,6 +40,18 @@ class TestSojourn:
         lines = out.strip().split("\n")
         assert len(lines) == 1 + 11 * 12 // 2
 
+    def test_large_rho_deep_threshold_solves(self, capsys):
+        # rho ~ 584 at depth 109 used to fail the residual check (exit 1)
+        code, out, _ = run_cli(
+            capsys, "sojourn", "--lambda", "18.100265790226157",
+            "--mu", "0.5237285832111664", "--q", "0.0592260532197372",
+            "--threshold", "108",
+        )
+        assert code == 0
+        lines = out.strip().split("\n")
+        assert len(lines) == 1 + 109
+        assert all(float(line.split(",")[2]) > 0.0 for line in lines[1:])
+
     def test_reneging_table_needs_reward(self, capsys):
         code, _, err = run_cli(
             capsys, "sojourn", "--lambda", "1", "--mu", "0.8", "--q", "0.4",

@@ -61,6 +61,20 @@ class TestCriticalValues:
         with pytest.raises(ValueError):
             critical_values(ModelParams(1.0, 0.8, 0.4), 0)
 
+    @pytest.mark.parametrize("m", [True, False, 2.0])
+    def test_rejects_bool_and_float_m(self, m):
+        with pytest.raises(ValueError):
+            critical_values(ModelParams(1.0, 0.8, 0.4), m)
+        with pytest.raises(ValueError):
+            chi(ModelParams(1.0, 0.8, 0.4, 7.8), m)
+
+    def test_numpy_integer_m_is_taken_as_int(self):
+        params = ModelParams(1.0, 0.8, 0.4, 7.8)
+        cv = critical_values(params, np.int64(2))
+        assert type(cv.m) is int and cv.m == 2
+        assert cv == critical_values(params, 2)
+        assert chi(params, np.int64(2)) == chi(params, 2)
+
 
 class TestChi:
     def test_reference_roots(self):

@@ -6,7 +6,7 @@ from hypothesis import given, strategies as st
 
 import feedbackq
 from feedbackq import ModelParams, inverse_index, make_threshold, state_index
-from feedbackq.model import branch_parts, level_offset, num_states
+from feedbackq.model import branch_parts, level_offset, num_states, positive_int
 
 
 class TestModelParams:
@@ -133,6 +133,18 @@ class TestStateIndex:
     def test_level_offset_matches_index(self):
         for j in range(1, 20):
             assert level_offset(j) == state_index(1, j) - 1
+
+
+class TestPositiveInt:
+    @pytest.mark.parametrize("value", [True, False, np.bool_(True), 2.0, 0, -1, np.int64(0), "2"])
+    def test_rejects(self, value):
+        with pytest.raises(ValueError):
+            positive_int(value, "m")
+
+    @pytest.mark.parametrize("value", [1, 2, np.int64(2), np.int32(3), np.uint8(4)])
+    def test_accepts_integrals_as_python_int(self, value):
+        out = positive_int(value, "m")
+        assert type(out) is int and out == value
 
 
 class TestPackageSurface:

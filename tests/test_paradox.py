@@ -84,6 +84,16 @@ class TestRewardIncrease:
         report = paradox1_check(params, 3, r1, r2)
         assert report.conjecture
 
+    @pytest.mark.parametrize("m", [True, False, 2.0])
+    def test_rejects_bool_and_float_m(self, m):
+        with pytest.raises(ValueError):
+            paradox1_check(ModelParams(1.0, 0.8, 0.4), m, 7.8, 7.9)
+
+    def test_numpy_integer_m_is_taken_as_int(self):
+        params = ModelParams(1.0, 0.8, 0.4)
+        report = paradox1_check(params, np.int64(2), 7.8, 7.9)
+        assert report == paradox1_check(params, 2, 7.8, 7.9)
+
     def test_out_of_band_rejected(self):
         params = ModelParams(1.0, 0.8, 0.4)
         with pytest.raises(ValueError):

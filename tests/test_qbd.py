@@ -3,7 +3,6 @@ import pytest
 
 from feedbackq import (
     ModelParams,
-    assemble_full,
     build_chain,
     build_rhs_payoff,
 )
@@ -11,6 +10,7 @@ from feedbackq.model import inverse_index, level_offset, num_states
 
 from chain_oracle import oracle_generator
 from conftest import random_params
+from dense_oracle import assemble_full
 
 
 def phase_one_rows(depth):

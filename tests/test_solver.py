@@ -4,22 +4,21 @@ import pytest
 from feedbackq import (
     ConsistencyError,
     ModelParams,
-    assemble_full,
     build_chain,
     build_rhs_payoff,
     build_rhs_sojourn,
-    factorize,
     payoff_vector_n,
     payoff_vector_r_all,
     payoff_vector_r_tagged,
     residual_norm,
     sojourn_vector,
     sojourn_vector_r_tagged,
-    solve_dense,
     solve_structured,
 )
+from feedbackq.solver import RESIDUAL_TOL, _eliminate
 
 from conftest import REFERENCE_CASES, params_of, random_params
+from dense_oracle import assemble_full, solve_dense
 
 
 def all_builders(params, x):
@@ -43,40 +42,68 @@ def neumann_solve(full, rhs, tol=1e-15, max_terms=10**6):
     raise ConsistencyError(f"series did not converge within {max_terms} terms")
 
 
-class TestFactorize:
-    def test_fixed_point_relations(self, rng):
+def forward_pass(blocks, *columns):
+    """k_j and h_j of the elimination on the given right-hand sides."""
+    return _eliminate(blocks, np.column_stack(columns))
+
+
+class TestElimination:
+    def test_level_schur_relation(self, rng):
+        # S_j k_j = U_j with S_j = I - L_j - D_j k_{j-1}, rebuilt from the blocks
         for _ in range(10):
             params = random_params(rng)
             x = rng.uniform(0.3, 7.0)
             for blocks in all_builders(params, x):
-                f = factorize(blocks)
-                depth = blocks.depth
-                np.testing.assert_allclose(f.u[depth - 1], blocks.local[depth - 1], atol=1e-12)
-                for j in range(2, depth + 1):
-                    iu = np.eye(j) - f.u[j - 1]
-                    np.testing.assert_allclose(iu @ f.g[j - 1], blocks.down[j - 2], atol=1e-12)
-                    np.testing.assert_allclose(f.gamma[j - 1] @ iu, blocks.up[j - 2], atol=1e-12)
-                    np.testing.assert_allclose(
-                        f.u[j - 2], blocks.local[j - 2] + blocks.up[j - 2] @ f.g[j - 1], atol=1e-12
-                    )
+                ks, _ = forward_pass(blocks, build_rhs_sojourn(params, blocks.depth))
+                assert ks[-1].shape == (blocks.depth, 0)
+                for j in range(1, blocks.depth):
+                    s = np.eye(j) - blocks.local[j - 1]
+                    if j > 1:
+                        s -= blocks.down[j - 2] @ ks[j - 2]
+                    np.testing.assert_allclose(s @ ks[j - 1], blocks.up[j - 1], atol=1e-12)
 
     def test_first_passage_rows_are_subprobabilities(self, rng):
+        # k_j holds the chances of reaching level j+1 before the tagged
+        # customer's success; with the chances of that success first (the
+        # h_j of the deficiency right-hand side) they exhaust every path
         for _ in range(15):
             params = random_params(rng)
             blocks = build_chain(params, rng.uniform(0.5, 8.0), "nonreneging")
-            f = factorize(blocks)
-            for j in range(2, blocks.depth + 1):
-                g = f.g[j - 1]
-                assert np.all(g >= -1e-15)
-                assert np.all(g.sum(axis=1) <= 1.0 + 1e-12)
+            deficiency = assemble_full(blocks).deficiency
+            ks, hs = forward_pass(blocks, deficiency)
+            for j in range(1, blocks.depth):
+                k = ks[j - 1]
+                assert np.all(k >= -1e-15)
+                assert np.all(k.sum(axis=1) <= 1.0 + 1e-12)
+                np.testing.assert_allclose(k.sum(axis=1) + hs[j - 1][:, 0], 1.0, atol=1e-12)
 
     def test_single_level_chain(self):
         params = ModelParams(1.0, 0.8, 0.4)
         blocks = build_chain(params, 0.0, "nonreneging")
-        f = factorize(blocks)
-        assert f.depth == 1
-        v = solve_structured(blocks, build_rhs_sojourn(params, 1), f)
+        assert blocks.depth == 1
+        v = solve_structured(blocks, build_rhs_sojourn(params, 1))
+        assert v.shape == (1,)
         assert v[0] == pytest.approx(1.0 / (0.8 * 0.4))
+        # two columns on one level: the payoff and sojourn solve of the
+        # reneging-tagged chain at x = 0
+        z = payoff_vector_r_tagged(params.with_r0(5.0), 0.0)
+        assert z.depth == 1
+        assert z.at(1, 1) == pytest.approx(5.0 - 1.0 / (0.8 * 0.4))
+
+    def test_multi_column_rhs_matches_single_columns_bit_for_bit(self, rng):
+        for _ in range(10):
+            params = random_params(rng, r0_span=(0.0, 20.0))
+            x = rng.uniform(0.0, 12.0)
+            for blocks in all_builders(params, x):
+                rhs = np.column_stack((
+                    build_rhs_payoff(params, blocks.depth),
+                    build_rhs_sojourn(params, blocks.depth),
+                    rng.uniform(-1.0, 1.0, blocks.num_states),
+                ))
+                v = solve_structured(blocks, rhs)
+                assert v.shape == rhs.shape
+                for col in range(rhs.shape[1]):
+                    np.testing.assert_array_equal(v[:, col], solve_structured(blocks, rhs[:, col]))
 
 
 class TestOracleEquivalence:
@@ -235,11 +262,25 @@ class TestValueVectors:
             assert zh.at(2, 2) == pytest.approx(case["zh22"], abs=5e-4)
             assert zh.at(3, 3) == pytest.approx(0.0, abs=1e-6)
 
+    def test_large_rho_deep_chain_meets_residual_tol(self):
+        # rho ~ 584 at depth 109; eliminating from the top level down missed
+        # RESIDUAL_TOL here (1.9e-10)
+        params = ModelParams(18.100265790226157, 0.5237285832111664, 0.0592260532197372)
+        w = sojourn_vector(params, 108.0)
+        assert w.depth == 109
+        blocks = build_chain(params, 108.0, "nonreneging")
+        assert residual_norm(blocks, w.values, build_rhs_sojourn(params, 109)) <= RESIDUAL_TOL
+        assert np.all(np.isfinite(w.values)) and np.all(w.values > 0.0)
+
     def test_rhs_shape_validation(self):
         params = ModelParams(1.0, 0.8, 0.4)
         blocks = build_chain(params, 2.5, "nonreneging")
         with pytest.raises(ValueError):
             solve_structured(blocks, np.ones(3))
+        with pytest.raises(ValueError):
+            solve_structured(blocks, np.ones((blocks.num_states, 0)))
+        with pytest.raises(ValueError):
+            solve_structured(blocks, np.ones((blocks.num_states, 2, 1)))
         with pytest.raises(ValueError):
             solve_dense(assemble_full(blocks), np.ones(3))
 
