@@ -42,11 +42,6 @@ def neumann_solve(full, rhs, tol=1e-15, max_terms=10**6):
     raise ConsistencyError(f"series did not converge within {max_terms} terms")
 
 
-def forward_pass(blocks, *columns):
-    """k_j and h_j of the elimination on the given right-hand sides."""
-    return _eliminate(blocks, np.column_stack(columns))
-
-
 class TestElimination:
     def test_level_schur_relation(self, rng):
         # S_j k_j = U_j with S_j = I - L_j - D_j k_{j-1}, rebuilt from the blocks
@@ -54,7 +49,7 @@ class TestElimination:
             params = random_params(rng)
             x = rng.uniform(0.3, 7.0)
             for blocks in all_builders(params, x):
-                ks, _ = forward_pass(blocks, build_rhs_sojourn(params, blocks.depth))
+                ks, _ = _eliminate(blocks, build_rhs_sojourn(params, blocks.depth)[:, None])
                 assert ks[-1].shape == (blocks.depth, 0)
                 for j in range(1, blocks.depth):
                     s = np.eye(j) - blocks.local[j - 1]
@@ -69,8 +64,7 @@ class TestElimination:
         for _ in range(15):
             params = random_params(rng)
             blocks = build_chain(params, rng.uniform(0.5, 8.0), "nonreneging")
-            deficiency = assemble_full(blocks).deficiency
-            ks, hs = forward_pass(blocks, deficiency)
+            ks, hs = _eliminate(blocks, assemble_full(blocks).deficiency[:, None])
             for j in range(1, blocks.depth):
                 k = ks[j - 1]
                 assert np.all(k >= -1e-15)
@@ -154,6 +148,12 @@ class TestOracleEquivalence:
         good = solve_structured(blocks, rhs)
         assert residual_norm(blocks, good, rhs) < 1e-12
         assert residual_norm(blocks, good + 0.01, rhs) > 1e-4
+        # with several columns the worst one counts
+        both = np.column_stack((rhs, 2.0 * rhs))
+        v = solve_structured(blocks, both)
+        assert residual_norm(blocks, v, both) < 1e-12
+        v[:, 1] += 0.01
+        assert residual_norm(blocks, v, both) > 1e-4
 
 
 class TestClosedFormAnchors:
