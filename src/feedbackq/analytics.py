@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import ModelParams, Threshold, as_threshold, branch_parts
+from .model import ModelParams, Threshold, as_threshold, branch_parts, int_at_least, positive_int
 
 VARIANT_THRESHOLD_N = "threshold_n"
 VARIANT_THRESHOLD_R = "threshold_r"
@@ -51,8 +51,7 @@ def sojourn_always_join(params: ModelParams, i: int) -> float:
     """
     if params.lam >= params.mu * params.q:
         raise ValueError("always-join sojourn requires lam < mu * q")
-    if not isinstance(i, int) or i < 1:
-        raise ValueError(f"position must be a positive integer, got {i!r}")
+    i = positive_int(i, "position")
     return (i + 1 - params.q) / (
         (params.q - 1) * params.lam - (params.q - 2) * params.q * params.mu
     )
@@ -63,8 +62,7 @@ def stationary_always_join(params: ModelParams, i: int) -> float:
     rho = params.rho
     if rho >= 1.0:
         raise ValueError("always-join law requires rho = lam / (mu q) < 1")
-    if not isinstance(i, int) or i < 0:
-        raise ValueError(f"queue length must be a nonnegative integer, got {i!r}")
+    i = int_at_least(i, 0, "queue length")
     return (1.0 - rho) * rho**i
 
 

@@ -34,8 +34,8 @@ from .solver import (
     sojourn_vector_r_tagged,
 )
 
-#: Reward ties with a critical value below this relative size are treated as
-#: the measure-zero indifference case.
+#: Reward ties with a critical value, and payoff ties in the ESS check,
+#: below this relative size are treated as exact (indifference) ties.
 TIE_TOL = 1e-9
 
 #: Required accuracy of the indifference condition at a mixed root.
@@ -300,9 +300,7 @@ def _population(params: ModelParams, x: float | Threshold) -> tuple[ValueVector,
     return payoff_vector_n(params, others), stationary_threshold(params, others, "n").probs
 
 
-def ess_check(
-    params: ModelParams, x_e: float, deviations, tie_tol: float = TIE_TOL
-) -> EssReport:
+def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
     """Check evolutionary stability of ``x_e`` over a grid of deviations.
 
     Each deviation must either do strictly worse against the equilibrium
@@ -312,7 +310,7 @@ def ess_check(
     not evolutionarily stable.
     """
     cv = critical_values(params, 1)
-    if abs(params.r0 - cv.alpha) <= tie_tol * max(1.0, cv.alpha):
+    if abs(params.r0 - cv.alpha) <= TIE_TOL * max(1.0, cv.alpha):
         grid = tuple(float(d) for d in deviations if abs(float(d) - x_e) > 1e-12)
         return EssReport(
             x=x_e,
@@ -336,13 +334,13 @@ def ess_check(
             continue
         checked += 1
         u_de = values_e.joining_mean(dist_e, dx)
-        if u_ee > u_de + tie_tol * scale:
+        if u_ee > u_de + TIE_TOL * scale:
             strict += 1
-        elif abs(u_ee - u_de) <= tie_tol * scale:
+        elif abs(u_ee - u_de) <= TIE_TOL * scale:
             values_d, dist_d = _population(params, dx)
             u_ed = values_d.joining_mean(dist_d, x_e)
             u_dd = values_d.joining_mean(dist_d, dx)
-            if u_ed > u_dd + tie_tol * max(1.0, abs(u_ed)):
+            if u_ed > u_dd + TIE_TOL * max(1.0, abs(u_ed)):
                 resolved += 1
             else:
                 failures.append(dx)

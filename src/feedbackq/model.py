@@ -37,12 +37,21 @@ def _real(value, what: str) -> float:
     return out
 
 
-def positive_int(value, what: str) -> int:
-    """``value`` as a Python int >= 1.  Any ``numbers.Integral`` is accepted,
-    numpy's included; bools and integral floats are not."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
-        raise ValueError(f"{what} must be a positive integer, got {value!r}")
+def int_at_least(value, lowest: int, what: str) -> int:
+    """``value`` as a Python int >= ``lowest``.  Any ``numbers.Integral`` is
+    accepted, numpy's included; bools and integral floats are not."""
+    # A plain int skips the ABC check, which would cost every state lookup.
+    integral = type(value) is int or (
+        isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    )
+    if not integral or value < lowest:
+        raise ValueError(f"{what} must be an integer >= {lowest}, got {value!r}")
     return int(value)
+
+
+def positive_int(value, what: str) -> int:
+    """``value`` as a Python int >= 1, by :func:`int_at_least`'s rule."""
+    return int_at_least(value, 1, what)
 
 
 @dataclass(frozen=True, slots=True)
@@ -121,14 +130,15 @@ def chain_depth(th: Threshold, reneging: bool) -> int:
 
 def state_index(i: int, j: int) -> int:
     """1-based linear position of state (i, j) in the level-major ordering."""
-    _check_state(i, j)
+    i, j = positive_int(i, "state coordinate i"), positive_int(j, "state coordinate j")
+    if i > j:
+        raise ValueError(f"state ({i}, {j}) outside the triangular region 1 <= i <= j")
     return j * (j - 1) // 2 + i
 
 
 def inverse_index(k: int) -> tuple[int, int]:
     """Invert :func:`state_index`; round-trips exactly."""
-    if not isinstance(k, int) or k < 1:
-        raise ValueError(f"linear index must be a positive integer, got {k!r}")
+    k = positive_int(k, "linear index")
     j = (math.isqrt(8 * k - 7) + 1) // 2
     i = k - j * (j - 1) // 2
     return i, j
@@ -142,10 +152,3 @@ def num_states(depth: int) -> int:
 def level_offset(j: int) -> int:
     """0-based offset of state (1, j) in a value vector."""
     return j * (j - 1) // 2
-
-
-def _check_state(i: int, j: int) -> None:
-    if not (isinstance(i, int) and isinstance(j, int)):
-        raise ValueError(f"state coordinates must be integers, got ({i!r}, {j!r})")
-    if not 1 <= i <= j:
-        raise ValueError(f"state ({i}, {j}) outside the triangular region 1 <= i <= j")

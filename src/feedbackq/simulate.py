@@ -13,26 +13,33 @@ vectorised batches, one spawned child stream per batch, so results are
 bit-reproducible and batches are embarrassingly parallel.  Ergodic runs use
 a single stream with chunked draws and report batch-means standard errors.
 
-The ergodic engine is table-driven.  Each event's uniforms give it a class
-(arrival joining or balking at the boundary, success, failure staying or
-leaving), and the only sequential work is the queue-length recursion
-``k = table[code + k]``, one ``itertools.accumulate`` step per event.
-Everything else is vectorised over sub-blocks of events: holding times,
-event times by a cumulative sum, batch membership, occupancy and counts
-summed in event order.  Payoff tracking treats the queue as a run of
-slots, each service reading the head slot and each join or staying failure
-appending one, and resolves every slot to its customer's join time by
-pointer doubling.  Outputs equal those of a per-event loop bit for bit.
+Both engines are table-driven and share one queue-length rule,
+:func:`_transition_table`.  Each event's uniforms give it a class (arrival
+joining or balking at the boundary, success, failure staying or leaving),
+and a state moves by one lookup ``s = table[code + s]``.  A tagged
+replication's state is its (i, j) pair; the live replications of a batch
+step together.  The ergodic state is the queue length, one
+``itertools.accumulate`` step per event, and the rest is vectorised over
+sub-blocks of events: holding times, event times by a cumulative sum, batch
+membership, occupancy and counts summed in event order.  Payoff tracking
+treats the queue as a run of slots, each service reading the head slot and
+each join or staying failure appending one, and resolves every slot to its
+customer's join time by pointer doubling.  Outputs equal those of the
+earlier masked and per-event engines bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import accumulate
 
 import numpy as np
 
-from .model import ModelParams, Threshold, as_threshold, branch_parts, chain_depth
+from .model import (
+    ModelParams, Threshold, as_threshold, branch_parts, chain_depth, level_offset, num_states,
+    state_index,
+)
 
 MODE_N = "n"
 MODE_R = "r"
@@ -46,6 +53,11 @@ MAX_BATCH_STEPS = 10_000_000
 #: transient arrays and the one Python list each sub-block builds.
 CHUNK = 1 << 16
 SUB_BLOCK = 4096
+
+#: Tagged replications run in batches of this many, one spawned child
+#: stream each; ergodic runs report batch means over this many batches.
+BATCH_SIZE = 25_000
+N_BATCHES = 32
 
 
 @dataclass(frozen=True, slots=True)
@@ -66,8 +78,6 @@ class SimConfig:
     events: int = 1_000_000
     seed: int = 0
     warmup: float = 0.1
-    batch_size: int = 25_000
-    n_batches: int = 32
 
     def __post_init__(self) -> None:
         if self.mode not in (MODE_N, MODE_R):
@@ -76,8 +86,6 @@ class SimConfig:
             raise ValueError("replication and event counts must be positive")
         if not 0.0 <= self.warmup < 1.0:
             raise ValueError(f"warmup fraction must lie in [0, 1), got {self.warmup}")
-        if self.batch_size < 1 or self.n_batches < 1:
-            raise ValueError("batch sizes must be positive")
         as_threshold(self.x)
         if self.x_tag is not None:
             as_threshold(self.x_tag)
@@ -107,7 +115,7 @@ class SimResult:
 
 def _estimate(values: np.ndarray) -> Estimate:
     n = len(values)
-    se = float(values.std(ddof=1)) / np.sqrt(n) if n > 1 else float("nan")
+    se = float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else math.nan
     return Estimate(float(values.mean()), se, n)
 
 
@@ -119,102 +127,83 @@ def simulate_tagged(config: SimConfig, start: tuple[int, int]) -> SimResult:
     errors.
     """
     i0, j0 = start
+    s0 = state_index(i0, j0) - 1
     depth = chain_depth(as_threshold(config.x), config.mode == MODE_R)
-    if not (isinstance(i0, int) and isinstance(j0, int) and 1 <= i0 <= j0 <= depth):
-        raise ValueError(
-            f"start state {start!r} outside the depth-{depth} state space of this mode"
-        )
+    if j0 > depth:
+        raise ValueError(f"start state {start!r} outside the depth-{depth} chain of this mode")
+    table, stride = _tagged_table(config, depth)
     sojourns = np.empty(config.reps)
     succeeded = np.empty(config.reps, dtype=bool)
-    root = np.random.SeedSequence(config.seed)
-    n_batches = -(-config.reps // config.batch_size)
-    children = root.spawn(n_batches)
-    done = 0
-    for child in children:
-        size = min(config.batch_size, config.reps - done)
-        t, ok = _tagged_batch(config, child, size, i0, j0, depth)
-        sojourns[done : done + size] = t
-        succeeded[done : done + size] = ok
-        done += size
+    children = np.random.SeedSequence(config.seed).spawn(-(-config.reps // BATCH_SIZE))
+    for b, child in enumerate(children):
+        batch = slice(b * BATCH_SIZE, min((b + 1) * BATCH_SIZE, config.reps))
+        sojourns[batch], succeeded[batch] = _tagged_batch(
+            config, child, batch.stop - batch.start, s0, table, stride
+        )
     payoffs = config.params.r0 * succeeded - sojourns
-    return SimResult(
-        {
-            "sojourn": _estimate(sojourns),
-            "payoff": _estimate(payoffs),
-            "success": _estimate(succeeded.astype(float)),
-        }
-    )
+    samples = {"sojourn": sojourns, "payoff": payoffs, "success": succeeded.astype(float)}
+    return SimResult({name: _estimate(values) for name, values in samples.items()})
 
 
-def _tagged_batch(
-    config: SimConfig,
-    seed: np.random.SeedSequence,
-    size: int,
-    i0: int,
-    j0: int,
-    depth: int,
-) -> tuple[np.ndarray, np.ndarray]:
+def _tagged_batch(config, seed, size, s0, table, stride) -> tuple[np.ndarray, np.ndarray]:
+    """Sojourn times and success flags of ``size`` replications from state
+    index ``s0``; each step draws one exponential and three uniforms per live
+    replication and moves it by one table lookup."""
     rng = np.random.default_rng(seed)
-    params = config.params
-    lam, mu, q = params.lam, params.mu, params.q
+    lam, mu, q = config.params.lam, config.params.mu, config.params.q
     pr_arrival = lam / (lam + mu)
-    n_pop, p_pop = branch_parts(as_threshold(config.x))
-    n_tag, p_tag = branch_parts(config.tagged_threshold)
-    reneging = config.mode == MODE_R
-
-    i = np.full(size, i0, dtype=np.int64)
-    j = np.full(size, j0, dtype=np.int64)
+    _, p = branch_parts(as_threshold(config.x))
+    _, p_tag = branch_parts(config.tagged_threshold)
+    succeeded, broken = stride - 3, stride - 1
+    s = np.full(size, s0, dtype=np.int64)
     t = np.zeros(size)
     ok = np.zeros(size, dtype=bool)
     alive = np.arange(size)
-    steps = 0
-    while alive.size:
-        steps += 1
-        if steps > MAX_BATCH_STEPS:
-            raise RuntimeError("tagged batch failed to absorb; dynamics are broken")
+    for _ in range(MAX_BATCH_STEPS):
         m = alive.size
         t[alive] += rng.exponential(1.0 / (lam + mu), m)
-        ev = rng.random(m)
-        d1 = rng.random(m)
-        d2 = rng.random(m)
-        ii = i[alive]
-        jj = j[alive]
-
-        arrival = ev < pr_arrival
-        join = arrival & ((jj + 1 <= n_pop) | ((jj + 1 == n_pop + 1) & (d1 < p_pop)))
-        jj = jj + join
-        if jj.max() > depth:
+        u, v, w = rng.random(m), rng.random(m), rng.random(m)
+        codes = (u < pr_arrival) + 2 * (v < p) + 4 * (v < q) + 8 * (w < p) + 16 * (w < p_tag)
+        s = table[stride * codes + s]
+        if (s == broken).any():
             raise RuntimeError("queue exceeded its reachable depth; dynamics are broken")
+        ok[alive[s == succeeded]] = True
+        live = s < succeeded
+        alive, s = alive[live], s[live]
+        if not alive.size:
+            return t, ok
+    raise RuntimeError("tagged batch failed to absorb; dynamics are broken")
 
-        service = ~arrival
-        success = d1 < q
-        tagged_served = service & (ii == 1)
-        finished_ok = tagged_served & success
-        tagged_failed = tagged_served & ~success
-        if reneging:
-            tagged_rejoins = (jj <= n_tag) | ((jj == n_tag + 1) & (d2 < p_tag))
-        else:
-            tagged_rejoins = np.ones(m, dtype=bool)
-        finished_gone = tagged_failed & ~tagged_rejoins
-        ii = np.where(tagged_failed & tagged_rejoins, jj, ii)
 
-        other_served = service & ~tagged_served
-        other_ok = other_served & success
-        other_failed = other_served & ~success
-        if reneging:
-            other_rejoins = (jj <= n_pop) | ((jj == n_pop + 1) & (d2 < p_pop))
-        else:
-            other_rejoins = np.ones(m, dtype=bool)
-        departs = other_ok | (other_failed & ~other_rejoins)
-        ii = ii - other_served
-        jj = jj - departs
-
-        i[alive] = ii
-        j[alive] = jj
-        finished = finished_ok | finished_gone
-        ok[alive[finished_ok]] = True
-        alive = alive[~finished]
-    return t, ok
+def _tagged_table(config: SimConfig, depth: int) -> tuple[np.ndarray, int]:
+    """Next tagged state, flattened as ``table[stride * class + s]`` over the
+    0-based states s of the chain plus three absorbing ones: success, reneged
+    and broken (the queue outgrew the chain).  Class bits 0-3 are those of
+    :func:`_transition_table`, which moves j; bit 4 (w below the tagged
+    fraction) keeps her at level n_tag + 1 after a failure when reneging."""
+    n, p = branch_parts(as_threshold(config.x))
+    n_tag, _ = branch_parts(config.tagged_threshold)
+    reneging = config.mode == MODE_R
+    queue, queue_stride = _transition_table(n, p, depth, reneging)
+    states = num_states(depth)
+    succeeded, reneged, broken = states, states + 1, states + 2
+    table = []
+    for cls in range(32):
+        arrival, success, tag_stays = cls & 1, cls >> 2 & 1, cls >> 4 & 1
+        for j in range(1, depth + 1):
+            after = queue[(cls & 15) * queue_stride + j]
+            for i in range(1, j + 1):
+                if arrival or i > 1:
+                    nxt = broken if after > depth else level_offset(after) + i - 1 - (not arrival)
+                elif success:
+                    nxt = succeeded
+                elif not reneging or j <= n_tag or (j == n_tag + 1 and tag_stays):
+                    nxt = level_offset(j) + j - 1
+                else:
+                    nxt = reneged
+                table.append(nxt)
+        table += [succeeded, reneged, broken]
+    return np.array(table), states + 3
 
 
 def simulate_stationary(config: SimConfig, track_payoffs: bool = False) -> SimResult:
@@ -225,19 +214,20 @@ def simulate_stationary(config: SimConfig, track_payoffs: bool = False) -> SimRe
     complete, minus the waiting bill for joiners who abandon), estimating the
     population payoff per arrival.  Standard errors come from batch means.
     """
-    run = _population_run(config, track_payoffs=track_payoffs)
-    occupancy, batch_payoff_sums, batch_payoff_counts = run[0], run[3], run[4]
+    occupancy, _, _, payoff_sums, payoff_counts = _population_run(config, track_payoffs)
     total = occupancy.sum(axis=0)
     histogram = total / total.sum()
     shares = occupancy / occupancy.sum(axis=1, keepdims=True)
     hist_se = shares.std(axis=0, ddof=1) / np.sqrt(occupancy.shape[0])
+    measured = config.events - int(config.events * config.warmup)
     estimates = {
         "mean_queue": _batch_ratio(
-            (occupancy * np.arange(occupancy.shape[1])).sum(axis=1), occupancy.sum(axis=1)
+            (occupancy * np.arange(occupancy.shape[1])).sum(axis=1), occupancy.sum(axis=1),
+            measured,
         )
     }
     if track_payoffs:
-        estimates["payoff_per_arrival"] = _batch_ratio(batch_payoff_sums, batch_payoff_counts)
+        estimates["payoff_per_arrival"] = _batch_ratio(payoff_sums, payoff_counts)
     return SimResult(estimates, histogram=histogram, histogram_se=hist_se)
 
 
@@ -245,23 +235,23 @@ def simulate_renege_fraction(config: SimConfig) -> SimResult:
     """Fraction of joining customers who abandon before a successful completion."""
     if config.mode != MODE_R:
         raise ValueError("the renege fraction is defined for the reneging game only")
-    occupancy, joins, reneges, _, _ = _population_run(config, track_payoffs=False)
-    del occupancy
+    _, joins, reneges, _, _ = _population_run(config, track_payoffs=False)
     return SimResult({"renege_fraction": _batch_ratio(reneges, joins)})
 
 
-def _batch_ratio(numerators: np.ndarray, denominators: np.ndarray) -> Estimate:
-    """Ratio estimate with a batch-means standard error."""
+def _batch_ratio(numerators: np.ndarray, denominators: np.ndarray, count=None) -> Estimate:
+    """Ratio estimate with a batch-means standard error; ``count`` overrides
+    the summed denominator as the sample count (a time-weighted ratio's)."""
     total_n = float(numerators.sum())
     total_d = float(denominators.sum())
     mean = total_n / total_d if total_d else 0.0
     valid = denominators > 0
     if valid.sum() > 1:
         ratios = numerators[valid] / denominators[valid]
-        se = float(ratios.std(ddof=1)) / np.sqrt(valid.sum())
+        se = float(ratios.std(ddof=1)) / math.sqrt(valid.sum())
     else:
-        se = float("nan")
-    return Estimate(mean, se, int(total_d))
+        se = math.nan
+    return Estimate(mean, se, int(total_d) if count is None else count)
 
 
 def _population_run(config: SimConfig, track_payoffs: bool):
@@ -276,7 +266,7 @@ def _population_run(config: SimConfig, track_payoffs: bool):
 
     warmup_events = int(config.events * config.warmup)
     measured = config.events - warmup_events
-    n_batches = min(config.n_batches, measured)
+    n_batches = min(N_BATCHES, measured)
     bounds = warmup_events + np.round(
         np.arange(1, n_batches + 1) * measured / n_batches
     ).astype(np.int64)

@@ -61,13 +61,14 @@ class ValueVector:
 
     def at(self, i: int, j: int) -> float:
         """Value of state (i, j)."""
-        if not 1 <= i <= j <= self.depth:
+        k = state_index(i, j)
+        if j > self.depth:
             raise ValueError(f"state ({i}, {j}) outside depth {self.depth}")
-        return float(self.values[state_index(i, j) - 1])
+        return float(self.values[k - 1])
 
     def diagonal(self) -> np.ndarray:
         """Values at the joining states (j, j), j = 1..depth."""
-        return np.array([self.values[state_index(j, j) - 1] for j in range(1, self.depth + 1)])
+        return self.values[level_offset(np.arange(2, self.depth + 2)) - 1]
 
     def joining_mean(self, probs: np.ndarray, x: float | Threshold) -> float:
         """Joining-state values averaged over the law ``probs`` of the queue
@@ -78,9 +79,10 @@ class ValueVector:
         higher, never beyond the chain.  Balking contributes zero.
         """
         n, p = branch_parts(as_threshold(x))
-        total = sum(probs[i - 1] * self.at(i, i) for i in range(1, min(n, self.depth) + 1))
+        diag = self.diagonal()
+        total = sum(probs[i] * diag[i] for i in range(min(n, self.depth)))
         if p and n < self.depth:
-            total += p * probs[n] * self.at(n + 1, n + 1)
+            total += p * probs[n] * diag[n]
         return float(total)
 
 

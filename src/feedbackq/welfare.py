@@ -26,6 +26,12 @@ FORM_AGREEMENT_TOL = 1e-9
 #: summation/grid paths only; the closed forms degenerate there.
 RHO_ONE_EPS = 1e-6
 
+#: The optimal-threshold scans stop here; the welfare peak lies far below.
+SCAN_LIMIT = 10_000
+
+#: Slack, relative to the curve's scale, in the runs of a unimodal curve.
+UNIMODAL_TOL = 1e-9
+
 
 @dataclass(frozen=True, slots=True)
 class WelfareCurve:
@@ -159,7 +165,7 @@ def welfare_derivative(params: ModelParams, x: float | Threshold, mode: str = "n
     return params.q * rho**n * core / den
 
 
-def socially_optimal_threshold(params: ModelParams, kmax: int = 10_000) -> int:
+def socially_optimal_threshold(params: ModelParams) -> int:
     """Smallest integer k at which the welfare slope turns nonpositive.
 
     The sign core is strictly increasing in k (away from rho = 1), so the
@@ -172,16 +178,16 @@ def socially_optimal_threshold(params: ModelParams, kmax: int = 10_000) -> int:
         raise ValueError("requires a reward at least the bare expected service time 1/(mu q)")
     rho = params.rho
     if abs(rho - 1.0) <= RHO_ONE_EPS:
-        return _grid_argmax(params, kmax)
+        return _grid_argmax(params, SCAN_LIMIT)
     target = params.r0 * params.lam * (1.0 - rho) ** 2
     n_star: int | None = None
-    for k in range(kmax):
+    for k in range(SCAN_LIMIT):
         f_k = 1.0 - 2.0 * rho + k * (1.0 - rho) + rho ** (k + 2)
         if rho * f_k >= target - 1e-12 * max(1.0, abs(target)):
             n_star = k
             break
     if n_star is None:
-        raise ConsistencyError(f"no welfare peak found below k = {kmax}")
+        raise ConsistencyError(f"no welfare peak found below k = {SCAN_LIMIT}")
     nu = _marginal_root(params)
     floor_nu = int(np.floor(nu + 1e-12))
     if n_star != floor_nu and abs(nu - round(nu)) > 1e-9:
@@ -234,8 +240,10 @@ def welfare_curve(
     params: ModelParams, step: float = 0.1, x_max: float | None = None
 ) -> WelfareCurve:
     """Sample both welfare curves on a grid that includes the integers."""
-    if step <= 0:
-        raise ValueError(f"grid step must be positive, got {step}")
+    if not 0.0 < step < float("inf"):
+        raise ValueError(f"grid step must be a positive finite number, got {step}")
+    if x_max is not None and not 0.0 <= x_max < float("inf"):
+        raise ValueError(f"x_max must be a nonnegative finite number or None, got {x_max}")
     n_star = socially_optimal_threshold(params)
     s_star = welfare_n(params, float(n_star))
     upper = x_max if x_max is not None else n_star + 5.0
@@ -246,13 +254,13 @@ def welfare_curve(
     return WelfareCurve(xs, s_n, s_r, n_star, s_star)
 
 
-def is_unimodal(values: np.ndarray, tol: float = 1e-9) -> bool:
+def is_unimodal(values: np.ndarray) -> bool:
     """True when the sequence rises to a single peak and then falls."""
     v = np.asarray(values, dtype=float)
     peak = int(np.argmax(v))
     scale = max(1.0, float(np.max(np.abs(v))))
-    rising = np.all(np.diff(v[: peak + 1]) >= -tol * scale)
-    falling = np.all(np.diff(v[peak:]) <= tol * scale)
+    rising = np.all(np.diff(v[: peak + 1]) >= -UNIMODAL_TOL * scale)
+    falling = np.all(np.diff(v[peak:]) <= UNIMODAL_TOL * scale)
     return bool(rising and falling)
 
 

@@ -13,7 +13,7 @@ from collections import deque
 import numpy as np
 
 from feedbackq.model import as_threshold, branch_parts, chain_depth
-from feedbackq.simulate import MODE_R, SimConfig
+from feedbackq.simulate import MODE_R, N_BATCHES, SimConfig
 
 
 def population_run_oracle(config: SimConfig, track_payoffs: bool):
@@ -28,7 +28,7 @@ def population_run_oracle(config: SimConfig, track_payoffs: bool):
 
     warmup_events = int(config.events * config.warmup)
     measured = config.events - warmup_events
-    n_batches = min(config.n_batches, measured)
+    n_batches = min(N_BATCHES, measured)
     bounds = warmup_events + np.round(
         np.arange(1, n_batches + 1) * measured / n_batches
     ).astype(np.int64)

@@ -186,6 +186,20 @@ class TestWelfare:
         np.testing.assert_allclose(integer_rows[:, 1], integer_rows[:, 2], atol=1e-9)
 
 
+    @pytest.mark.parametrize(
+        "flag,value,shown",
+        [("--grid-step", "inf", "inf"), ("--grid-step", "nan", "nan"),
+         ("--x-max", "-5", "-5.0"), ("--x-max", "nan", "nan")],
+    )
+    def test_bad_grid_exits_two_naming_the_value(self, capsys, flag, value, shown):
+        code, out, err = run_cli(
+            capsys, "welfare", "--lambda", "1", "--mu", "0.8", "--q", "0.8",
+            "--r0", "18", f"{flag}={value}",
+        )
+        assert code == 2
+        assert out == ""
+        assert f"got {shown}" in json.loads(err)["error"]
+
     def test_large_thresholds_above_balance(self, capsys):
         # The closed-form cross-check used to overflow from x = 236 on.
         code, out, _ = run_cli(

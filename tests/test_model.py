@@ -5,7 +5,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 import feedbackq
-from feedbackq import ModelParams, inverse_index, make_threshold, state_index
+from feedbackq import (
+    ModelParams,
+    SimConfig,
+    inverse_index,
+    make_threshold,
+    simulate_tagged,
+    sojourn_always_join,
+    sojourn_vector,
+    state_index,
+    stationary_always_join,
+)
 from feedbackq.model import branch_parts, level_offset, num_states, positive_int
 
 
@@ -145,6 +155,39 @@ class TestPositiveInt:
     def test_accepts_integrals_as_python_int(self, value):
         out = positive_int(value, "m")
         assert type(out) is int and out == value
+
+
+STABLE = ModelParams(0.4, 0.6, 0.7)
+REFERENCE = ModelParams(1.0, 0.8, 0.4, 7.8)
+
+#: Every public site that takes an integer state, position or length.
+INTEGER_SITES = {
+    "state_index": lambda v: state_index(v, v),
+    "inverse_index": inverse_index,
+    "ValueVector.at": lambda v: sojourn_vector(REFERENCE, 2.5).at(v, v),
+    "simulate_tagged": lambda v: simulate_tagged(
+        SimConfig(params=REFERENCE, x=2.5, reps=50, seed=1), (v, v)
+    ).estimates,
+    "sojourn_always_join": lambda v: sojourn_always_join(STABLE, v),
+    "stationary_always_join": lambda v: stationary_always_join(STABLE, v),
+}
+
+
+class TestIntegerRule:
+    @pytest.mark.parametrize("site", INTEGER_SITES)
+    def test_accepts_numpy_integers(self, site):
+        call = INTEGER_SITES[site]
+        assert call(np.int64(2)) == call(2)
+
+    @pytest.mark.parametrize("value", [True, False, 2.0])
+    @pytest.mark.parametrize("site", INTEGER_SITES)
+    def test_rejects_bools_and_floats(self, site, value):
+        with pytest.raises(ValueError):
+            INTEGER_SITES[site](value)
+
+    def test_stationary_always_join_accepts_zero(self):
+        empty = stationary_always_join(STABLE, 0)
+        assert empty == stationary_always_join(STABLE, np.int64(0)) == 1.0 - STABLE.rho
 
 
 class TestPackageSurface:

@@ -16,9 +16,11 @@ from feedbackq import (
     total_payoff,
 )
 from feedbackq import simulate
-from feedbackq.simulate import _population_run
+from feedbackq.model import as_threshold, chain_depth
+from feedbackq.simulate import BATCH_SIZE, _population_run
 
 from population_oracle import population_run_oracle
+from tagged_oracle import simulate_tagged_oracle
 
 
 def within(estimate, target, k=3.0):
@@ -87,6 +89,10 @@ class TestTagged:
             simulate_tagged(cfg, (1, 4))  # beyond the reneging depth
         with pytest.raises(ValueError):
             simulate_tagged(cfg, (2, 1))
+        cfg = SimConfig(params=ModelParams(1.0, 0.8, 0.4), x=2.5, reps=10)
+        assert simulate_tagged(cfg, (4, 4)).estimates["sojourn"].count == 10  # the deepest level
+        with pytest.raises(ValueError, match="depth-4"):
+            simulate_tagged(cfg, (1, 5))
 
 
 class TestStationary:
@@ -178,6 +184,32 @@ class TestEventStream:
             SimConfig(params=params, x=-1.0)
 
 
+class TestEstimateFields:
+    def test_mean_queue_counts_measured_events(self):
+        # The mean queue is a time-weighted ratio: its denominator is time,
+        # its sample count the events after warmup.
+        params = ModelParams(1.0, 0.8, 0.4)
+        res = simulate_stationary(SimConfig(params=params, x=2.073, events=1000, seed=3))
+        assert res.estimates["mean_queue"].count == 900
+        res = simulate_stationary(
+            SimConfig(params=params, x=2.073, events=5, warmup=0.5, seed=3)
+        )
+        assert res.estimates["mean_queue"].count == 3
+
+    def test_fields_are_python_scalars(self):
+        params = ModelParams(1.0, 0.8, 0.8, 7.8)
+        results = (
+            simulate_tagged(SimConfig(params=params, x=2.5, reps=500, seed=5), (1, 2)),
+            simulate_stationary(
+                SimConfig(params=params, x=2.5, events=5_000, seed=5), track_payoffs=True
+            ),
+            simulate_renege_fraction(SimConfig(params=params, x=2.5, mode="r", events=5_000)),
+        )
+        for res in results:
+            for est in res.estimates.values():
+                assert (type(est.mean), type(est.se), type(est.count)) == (float, float, int)
+
+
 def _engine_configs():
     """64 seeded ergodic configurations: both modes, integer thresholds,
     thresholds below one, q = 1, warmup 0 / 0.1 / 0.5, tiny runs, runs past
@@ -238,3 +270,70 @@ class TestErgodicEngine:
         cfg = SimConfig(params=ModelParams(1.0, 0.8, 0.8), x=2.5, events=10_000, seed=3)
         with pytest.raises(RuntimeError, match="exceeded its reachable level"):
             _population_run(cfg, False)
+
+
+def _tagged_draws():
+    """240 seeded tagged experiments: both modes, integer thresholds (zero
+    included) and fractional ones, the tagged threshold unset, above and
+    below the population's, q = 1, start states at every level of the chain,
+    and one run of more than one batch."""
+    rng = np.random.default_rng(20261019)
+    draws = []
+    for k in range(240):
+        lam, mu = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.3, 2.0))
+        q = 1.0 if k % 7 == 0 else float(rng.uniform(0.25, 1.0))
+        x = float(rng.integers(0, 7)) if k % 2 else float(rng.uniform(0.0, 7.0))
+        x_tag = (None, x + float(rng.uniform(0.0, 2.0)), x * float(rng.uniform(0.0, 1.0)))[k % 3]
+        mode = "r" if k % 4 >= 2 else "n"
+        depth = chain_depth(as_threshold(x), mode == "r")
+        j0 = depth if k % 5 == 0 else int(rng.integers(1, depth + 1))
+        i0 = int(rng.integers(1, j0 + 1))
+        reps = BATCH_SIZE + 4_321 if k == 3 else int(rng.integers(2, 600))
+        config = SimConfig(
+            params=ModelParams(lam, mu, q, float(rng.uniform(0.5, 10.0)) / (mu * q)),
+            x=x,
+            x_tag=x_tag,
+            mode=mode,
+            reps=reps,
+            seed=int(rng.integers(2**32)),
+        )
+        draws.append((config, (i0, j0)))
+    return draws
+
+
+class TestTaggedEngine:
+    @pytest.mark.parametrize("draw", _tagged_draws(), ids=lambda d: f"seed{d[0].seed}")
+    def test_matches_masked_engine_field_by_field(self, draw):
+        config, start = draw
+        got = simulate_tagged(config, start).estimates
+        want = simulate_tagged_oracle(config, start).estimates
+        assert got.keys() == want.keys() == {"sojourn", "payoff", "success"}
+        for name in got:
+            for field in ("mean", "se", "count"):
+                assert getattr(got[name], field) == getattr(want[name], field), (name, field)
+
+    def test_draws_cover_the_edge_cases(self):
+        draws = _tagged_draws()
+        configs = [c for c, _ in draws]
+        assert {c.mode for c in configs} == {"n", "r"}
+        assert any(c.x == int(c.x) for c in configs) and any(c.x != int(c.x) for c in configs)
+        assert 0.0 in {c.x for c in configs}
+        assert any(c.x_tag is None for c in configs)
+        assert any(c.x_tag is not None and c.x_tag > c.x for c in configs)
+        assert any(c.x_tag is not None and c.x_tag < c.x for c in configs)
+        assert any(c.params.q == 1.0 for c in configs)
+        assert any(c.reps > BATCH_SIZE for c in configs)
+        depths = [chain_depth(as_threshold(c.x), c.mode == "r") for c in configs]
+        levels = {j for _, (_, j) in draws}
+        assert levels == set(range(1, max(depths) + 1))
+        for mode in ("n", "r"):
+            assert any(
+                c.mode == mode and j == d for (c, (_, j)), d in zip(draws, depths)
+            )
+
+    def test_outgrowing_the_chain_raises(self, monkeypatch):
+        # Understate the depth so that joins can outgrow the table.
+        monkeypatch.setattr(simulate, "chain_depth", lambda th, reneging: th.n)
+        cfg = SimConfig(params=ModelParams(1.0, 0.8, 0.8), x=2.5, reps=1_000, seed=3)
+        with pytest.raises(RuntimeError, match="exceeded its reachable depth"):
+            simulate_tagged(cfg, (1, 1))

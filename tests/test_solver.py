@@ -246,6 +246,20 @@ class TestValueVectors:
         w = sojourn_vector_r_tagged(params, 2.6)
         np.testing.assert_allclose(vec.values, params.r0 - w.values, atol=1e-10)
 
+    def test_diagonal_and_joining_mean_read_the_joining_states(self, rng):
+        # the per-state reads they replaced are the reference, bit for bit
+        for _ in range(10):
+            params = random_params(rng, r0_span=(1.0, 10.0))
+            vec = payoff_vector_n(params, rng.uniform(0.0, 8.0))
+            probs = rng.dirichlet(np.ones(vec.depth + 1))
+            assert vec.diagonal().tolist() == [vec.at(j, j) for j in range(1, vec.depth + 1)]
+            for x in (0.0, 0.7, rng.uniform(0.0, 10.0), float(vec.depth)):
+                n, p = int(x), x - int(x)
+                want = sum(probs[i - 1] * vec.at(i, i) for i in range(1, min(n, vec.depth) + 1))
+                if p and n < vec.depth:
+                    want += p * probs[n] * vec.at(n + 1, n + 1)
+                assert vec.joining_mean(probs, x) == float(want)
+
     def test_at_rejects_out_of_depth(self):
         w = sojourn_vector(ModelParams(1.0, 0.8, 0.4), 1.5)
         with pytest.raises(ValueError):

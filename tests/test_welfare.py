@@ -208,6 +208,18 @@ class TestCurve:
         x, sn, sr = (float(v) for v in lines[3].split(","))
         assert (x, sn, sr) == (curve.x[2], curve.s_n[2], curve.s_r[2])
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"step": 0.0}, {"step": -0.1}, {"step": float("inf")}, {"step": float("nan")},
+         {"x_max": -5.0}, {"x_max": float("inf")}, {"x_max": float("nan")}],
+    )
+    def test_rejects_bad_grids(self, kwargs):
+        with pytest.raises(ValueError, match=f"got {next(iter(kwargs.values()))}"):
+            welfare_curve(FIG_PARAMS, **kwargs)
+
+    def test_zero_x_max_samples_the_origin(self):
+        np.testing.assert_array_equal(welfare_curve(FIG_PARAMS, x_max=0.0).x, [0.0])
+
     def test_is_unimodal_rejects_a_dip(self):
         assert not is_unimodal(np.array([0.0, 1.0, 0.5, 1.2, 0.3]))
 
