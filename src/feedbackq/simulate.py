@@ -16,16 +16,16 @@ a single stream with chunked draws and report batch-means standard errors.
 Both engines are table-driven and share one queue-length rule,
 :func:`_transition_table`.  Each event's uniforms give it a class (arrival
 joining or balking at the boundary, success, failure staying or leaving),
-and a state moves by one lookup ``s = table[code + s]``.  A tagged
-replication's state is its (i, j) pair; the live replications of a batch
-step together.  The ergodic state is the queue length, one
-``itertools.accumulate`` step per event, and the rest is vectorised over
-sub-blocks of events: holding times, event times by a cumulative sum, batch
-membership, occupancy and counts summed in event order.  Payoff tracking
-treats the queue as a run of slots, each service reading the head slot and
-each join or staying failure appending one, and resolves every slot to its
-customer's join time by pointer doubling.  Outputs equal those of the
-earlier masked and per-event engines bit for bit.
+and the queue length moves by one lookup ``k = table[code + k]``.  A tagged
+replication's queue length steps so, and its own place i by arithmetic on
+the class; the live replications of a batch step together.  The ergodic
+queue length takes one ``itertools.accumulate`` step per event, and the
+rest is vectorised over sub-blocks of events: holding times, event times by
+a cumulative sum, batch membership, occupancy and counts summed in event
+order.  Payoff tracking treats the queue as a run of slots, each service
+reading the head slot and each join or staying failure appending one, and
+resolves every slot to its customer's join time by pointer doubling.
+Outputs equal those of the earlier masked and per-event engines bit for bit.
 """
 
 from __future__ import annotations
@@ -36,10 +36,7 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import (
-    ModelParams, Threshold, as_threshold, branch_parts, chain_depth, level_offset, num_states,
-    state_index,
-)
+from .model import ModelParams, Threshold, as_threshold, branch_parts, chain_depth, state_index
 
 MODE_N = "n"
 MODE_R = "r"
@@ -115,7 +112,7 @@ class SimResult:
 
 def _estimate(values: np.ndarray) -> Estimate:
     n = len(values)
-    se = float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else math.nan
+    se = float(values.std(ddof=1)) / math.sqrt(n) if n > 1 else float("nan")
     return Estimate(float(values.mean()), se, n)
 
 
@@ -127,35 +124,58 @@ def simulate_tagged(config: SimConfig, start: tuple[int, int]) -> SimResult:
     errors.
     """
     i0, j0 = start
-    s0 = state_index(i0, j0) - 1
+    state_index(i0, j0)  # the integer rule and 1 <= i <= j
     depth = chain_depth(as_threshold(config.x), config.mode == MODE_R)
     if j0 > depth:
         raise ValueError(f"start state {start!r} outside the depth-{depth} chain of this mode")
-    table, stride = _tagged_table(config, depth)
     sojourns = np.empty(config.reps)
     succeeded = np.empty(config.reps, dtype=bool)
-    children = np.random.SeedSequence(config.seed).spawn(-(-config.reps // BATCH_SIZE))
-    for b, child in enumerate(children):
-        batch = slice(b * BATCH_SIZE, min((b + 1) * BATCH_SIZE, config.reps))
-        sojourns[batch], succeeded[batch] = _tagged_batch(
-            config, child, batch.stop - batch.start, s0, table, stride
-        )
+    root = np.random.SeedSequence(config.seed)
+    n_batches = -(-config.reps // BATCH_SIZE)
+    children = root.spawn(n_batches)
+    done = 0
+    for child in children:
+        size = min(BATCH_SIZE, config.reps - done)
+        t, ok = _tagged_batch(config, child, size, i0, j0, depth)
+        sojourns[done : done + size] = t
+        succeeded[done : done + size] = ok
+        done += size
     payoffs = config.params.r0 * succeeded - sojourns
-    samples = {"sojourn": sojourns, "payoff": payoffs, "success": succeeded.astype(float)}
-    return SimResult({name: _estimate(values) for name, values in samples.items()})
+    return SimResult(
+        {
+            "sojourn": _estimate(sojourns),
+            "payoff": _estimate(payoffs),
+            "success": _estimate(succeeded.astype(float)),
+        }
+    )
 
 
-def _tagged_batch(config, seed, size, s0, table, stride) -> tuple[np.ndarray, np.ndarray]:
-    """Sojourn times and success flags of ``size`` replications from state
-    index ``s0``; each step draws one exponential and three uniforms per live
-    replication and moves it by one table lookup."""
+def _tagged_batch(
+    config: SimConfig,
+    seed: np.random.SeedSequence,
+    size: int,
+    i0: int,
+    j0: int,
+    depth: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sojourn times and success flags of ``size`` replications from (i0, j0).
+
+    Each step draws one exponential and three uniforms per live replication.
+    The queue length j moves by one lookup in :func:`_transition_table`,
+    except when the tagged customer is served: she succeeds, rejoins the tail
+    at (j, j) or, reneging, leaves.  Any other service moves her up one place.
+    """
     rng = np.random.default_rng(seed)
     lam, mu, q = config.params.lam, config.params.mu, config.params.q
     pr_arrival = lam / (lam + mu)
-    _, p = branch_parts(as_threshold(config.x))
-    _, p_tag = branch_parts(config.tagged_threshold)
-    succeeded, broken = stride - 3, stride - 1
-    s = np.full(size, s0, dtype=np.int64)
+    n, p = branch_parts(as_threshold(config.x))
+    n_tag, p_tag = branch_parts(config.tagged_threshold)
+    reneging = config.mode == MODE_R
+    table, stride = _transition_table(n, p, depth, reneging)
+    table = np.array(table)  # next queue length, as the ergodic engine's
+
+    i = np.full(size, i0, dtype=np.int64)
+    j = np.full(size, j0, dtype=np.int64)
     t = np.zeros(size)
     ok = np.zeros(size, dtype=bool)
     alive = np.arange(size)
@@ -163,47 +183,24 @@ def _tagged_batch(config, seed, size, s0, table, stride) -> tuple[np.ndarray, np
         m = alive.size
         t[alive] += rng.exponential(1.0 / (lam + mu), m)
         u, v, w = rng.random(m), rng.random(m), rng.random(m)
-        codes = (u < pr_arrival) + 2 * (v < p) + 4 * (v < q) + 8 * (w < p) + 16 * (w < p_tag)
-        s = table[stride * codes + s]
-        if (s == broken).any():
+        arrival, success = u < pr_arrival, v < q
+        codes = stride * (arrival + 2 * (v < p) + 4 * success + 8 * (w < p))
+        served = ~arrival
+        head = served & (i == 1)
+        j = np.where(head, j, table[codes + j])
+        if j.max() > depth:
             raise RuntimeError("queue exceeded its reachable depth; dynamics are broken")
-        ok[alive[s == succeeded]] = True
-        live = s < succeeded
-        alive, s = alive[live], s[live]
+        success &= head
+        rejoins = head & ~success
+        if reneging:
+            rejoins &= (j <= n_tag) | ((j == n_tag + 1) & (w < p_tag))
+        ok[alive[success]] = True
+        i = np.where(rejoins, j, i - served)
+        live = ~head | rejoins
+        alive, i, j = alive[live], i[live], j[live]
         if not alive.size:
             return t, ok
     raise RuntimeError("tagged batch failed to absorb; dynamics are broken")
-
-
-def _tagged_table(config: SimConfig, depth: int) -> tuple[np.ndarray, int]:
-    """Next tagged state, flattened as ``table[stride * class + s]`` over the
-    0-based states s of the chain plus three absorbing ones: success, reneged
-    and broken (the queue outgrew the chain).  Class bits 0-3 are those of
-    :func:`_transition_table`, which moves j; bit 4 (w below the tagged
-    fraction) keeps her at level n_tag + 1 after a failure when reneging."""
-    n, p = branch_parts(as_threshold(config.x))
-    n_tag, _ = branch_parts(config.tagged_threshold)
-    reneging = config.mode == MODE_R
-    queue, queue_stride = _transition_table(n, p, depth, reneging)
-    states = num_states(depth)
-    succeeded, reneged, broken = states, states + 1, states + 2
-    table = []
-    for cls in range(32):
-        arrival, success, tag_stays = cls & 1, cls >> 2 & 1, cls >> 4 & 1
-        for j in range(1, depth + 1):
-            after = queue[(cls & 15) * queue_stride + j]
-            for i in range(1, j + 1):
-                if arrival or i > 1:
-                    nxt = broken if after > depth else level_offset(after) + i - 1 - (not arrival)
-                elif success:
-                    nxt = succeeded
-                elif not reneging or j <= n_tag or (j == n_tag + 1 and tag_stays):
-                    nxt = level_offset(j) + j - 1
-                else:
-                    nxt = reneged
-                table.append(nxt)
-        table += [succeeded, reneged, broken]
-    return np.array(table), states + 3
 
 
 def simulate_stationary(config: SimConfig, track_payoffs: bool = False) -> SimResult:
@@ -214,7 +211,8 @@ def simulate_stationary(config: SimConfig, track_payoffs: bool = False) -> SimRe
     complete, minus the waiting bill for joiners who abandon), estimating the
     population payoff per arrival.  Standard errors come from batch means.
     """
-    occupancy, _, _, payoff_sums, payoff_counts = _population_run(config, track_payoffs)
+    run = _population_run(config, track_payoffs=track_payoffs)
+    occupancy, batch_payoff_sums, batch_payoff_counts = run[0], run[3], run[4]
     total = occupancy.sum(axis=0)
     histogram = total / total.sum()
     shares = occupancy / occupancy.sum(axis=1, keepdims=True)
@@ -227,7 +225,7 @@ def simulate_stationary(config: SimConfig, track_payoffs: bool = False) -> SimRe
         )
     }
     if track_payoffs:
-        estimates["payoff_per_arrival"] = _batch_ratio(payoff_sums, payoff_counts)
+        estimates["payoff_per_arrival"] = _batch_ratio(batch_payoff_sums, batch_payoff_counts)
     return SimResult(estimates, histogram=histogram, histogram_se=hist_se)
 
 
@@ -235,7 +233,8 @@ def simulate_renege_fraction(config: SimConfig) -> SimResult:
     """Fraction of joining customers who abandon before a successful completion."""
     if config.mode != MODE_R:
         raise ValueError("the renege fraction is defined for the reneging game only")
-    _, joins, reneges, _, _ = _population_run(config, track_payoffs=False)
+    occupancy, joins, reneges, _, _ = _population_run(config, track_payoffs=False)
+    del occupancy
     return SimResult({"renege_fraction": _batch_ratio(reneges, joins)})
 
 
@@ -250,7 +249,7 @@ def _batch_ratio(numerators: np.ndarray, denominators: np.ndarray, count=None) -
         ratios = numerators[valid] / denominators[valid]
         se = float(ratios.std(ddof=1)) / math.sqrt(valid.sum())
     else:
-        se = math.nan
+        se = float("nan")
     return Estimate(mean, se, int(total_d) if count is None else count)
 
 

@@ -2,8 +2,8 @@
 
 It steps every live replication's (i, j) pair with boolean masks, writing the
 queue-length rule out a second time, exactly as
-``feedbackq.simulate._tagged_batch`` did before that engine became a lookup
-in a transition table.  ``simulate_tagged`` must return the same estimates
+``feedbackq.simulate._tagged_batch`` did before its queue length became a
+lookup in the ergodic engine's transition table.  ``simulate_tagged`` must return the same estimates
 field by field under every seed (``tests/test_simulate.py``).
 """
 

@@ -331,6 +331,19 @@ class TestTaggedEngine:
                 c.mode == mode and j == d for (c, (_, j)), d in zip(draws, depths)
             )
 
+    @pytest.mark.parametrize("mode", ["n", "r"])
+    @pytest.mark.parametrize("x, x_tag", [(3000.0, None), (3000.5, 2999.25)])
+    def test_deep_threshold_matches_masked_engine(self, mode, x, x_tag):
+        # A stable queue rarely climbs far, so a deep chain must cost no more
+        # than the steps the replications take (plus the O(depth) table).
+        config = SimConfig(
+            params=ModelParams(0.5, 1.0, 0.9, 4.0), x=x, x_tag=x_tag, mode=mode, reps=300, seed=8
+        )
+        for start in [(1, 1), (2, 3)]:
+            got = simulate_tagged(config, start).estimates
+            want = simulate_tagged_oracle(config, start).estimates
+            assert got == want
+
     def test_outgrowing_the_chain_raises(self, monkeypatch):
         # Understate the depth so that joins can outgrow the table.
         monkeypatch.setattr(simulate, "chain_depth", lambda th, reneging: th.n)
