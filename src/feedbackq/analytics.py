@@ -16,10 +16,6 @@ import numpy as np
 
 from .model import ModelParams, Threshold, as_threshold, branch_parts, int_at_least, positive_int
 
-VARIANT_THRESHOLD_N = "threshold_n"
-VARIANT_THRESHOLD_R = "threshold_r"
-VARIANT_FEEDBACK_OBSERVED = "feedback_observed"
-
 
 @dataclass(frozen=True, slots=True)
 class StationaryDist:
@@ -30,10 +26,7 @@ class StationaryDist:
     feedback customers.
     """
 
-    variant: str
     probs: np.ndarray
-    params: ModelParams
-    x: float
 
     @property
     def support(self) -> int:
@@ -77,7 +70,6 @@ def stationary_threshold(
     """
     if mode not in ("n", "r"):
         raise ValueError(f"mode must be 'n' or 'r', got {mode!r}")
-    variant = VARIANT_THRESHOLD_N if mode == "n" else VARIANT_THRESHOLD_R
     th = as_threshold(x)
     n, p = branch_parts(th)
     rho = params.rho
@@ -94,7 +86,7 @@ def stationary_threshold(
             exit_rate = params.mu * params.q + params.mu * (1.0 - params.q) * (1.0 - p)
             top = params.lam * p / exit_rate * rho ** (n - shift)
         probs = np.append(weights, top) / (weights.sum() + top)
-    return StationaryDist(variant, probs, params, th.x)
+    return StationaryDist(probs)
 
 
 def feedback_observed_dist(params: ModelParams, x: float | Threshold) -> StationaryDist:
@@ -111,9 +103,7 @@ def feedback_observed_dist(params: ModelParams, x: float | Threshold) -> Station
     base = stationary_threshold(params, th, "r").probs
     shifted = np.zeros(th.n + 1)
     shifted[: len(base) - 1] = base[1:]
-    return StationaryDist(
-        VARIANT_FEEDBACK_OBSERVED, shifted / shifted.sum(), params, th.x
-    )
+    return StationaryDist(shifted / shifted.sum())
 
 
 def renege_probability(params: ModelParams, x: float | Threshold) -> float:

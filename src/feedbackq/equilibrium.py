@@ -309,7 +309,7 @@ def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
     case in which every threshold in [0, 1] ties forever; it is reported as
     not evolutionarily stable.
     """
-    cv = critical_values(params, 1)
+    cv = critical_values(params, 1, with_gamma=False)
     if abs(params.r0 - cv.alpha) <= TIE_TOL * max(1.0, cv.alpha):
         grid = tuple(float(d) for d in deviations if abs(float(d) - x_e) > 1e-12)
         return EssReport(

@@ -101,8 +101,8 @@ def paradox1_check(params_base: ModelParams, m: int, r1: float, r2: float) -> Pa
     m = positive_int(m, "m")
     if not r1 <= r2:
         raise ValueError(f"rewards must satisfy r1 <= r2, got {r1} > {r2}")
-    cv = critical_values(params_base, m)
-    alpha_next = critical_values(params_base, m + 1).alpha
+    cv = critical_values(params_base, m, with_gamma=False)
+    alpha_next = critical_values(params_base, m + 1, with_gamma=False).alpha
     if not (cv.beta < r1 and r2 < alpha_next):
         raise ValueError(
             f"rewards must lie strictly inside ({cv.beta}, {alpha_next}) for m={m}"

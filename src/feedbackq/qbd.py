@@ -80,7 +80,6 @@ class QbdBlocks:
 
     variant: str
     depth: int
-    params: ModelParams
     threshold: Threshold
     local: tuple[np.ndarray, ...]
     up: tuple[np.ndarray, ...]
@@ -168,7 +167,7 @@ def build_chain(params: ModelParams, threshold: float | Threshold, variant: str)
         _down_block(j, c.dn + c.fb * (1.0 - p) if j == top else c.dn)
         for j in range(2, depth + 1)
     )
-    return QbdBlocks(variant, depth, params, th, local, up, down)
+    return QbdBlocks(variant, depth, th, local, up, down)
 
 
 def build_rhs_payoff(params: ModelParams, depth: int) -> np.ndarray:

@@ -36,7 +36,15 @@ from itertools import accumulate
 
 import numpy as np
 
-from .model import ModelParams, Threshold, as_threshold, branch_parts, chain_depth, state_index
+from .model import (
+    ModelParams,
+    Threshold,
+    as_threshold,
+    branch_parts,
+    chain_depth,
+    int_at_least,
+    state_index,
+)
 
 MODE_N = "n"
 MODE_R = "r"
@@ -79,8 +87,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if self.mode not in (MODE_N, MODE_R):
             raise ValueError(f"mode must be 'n' or 'r', got {self.mode!r}")
-        if self.reps < 1 or self.events < 1:
-            raise ValueError("replication and event counts must be positive")
+        for name, lowest in (("reps", 1), ("events", 1), ("seed", 0)):
+            object.__setattr__(self, name, int_at_least(getattr(self, name), lowest, name))
         if not 0.0 <= self.warmup < 1.0:
             raise ValueError(f"warmup fraction must lie in [0, 1), got {self.warmup}")
         as_threshold(self.x)
@@ -215,8 +223,11 @@ def simulate_stationary(config: SimConfig, track_payoffs: bool = False) -> SimRe
     occupancy, batch_payoff_sums, batch_payoff_counts = run[0], run[3], run[4]
     total = occupancy.sum(axis=0)
     histogram = total / total.sum()
-    shares = occupancy / occupancy.sum(axis=1, keepdims=True)
-    hist_se = shares.std(axis=0, ddof=1) / np.sqrt(occupancy.shape[0])
+    if occupancy.shape[0] > 1:
+        shares = occupancy / occupancy.sum(axis=1, keepdims=True)
+        hist_se = shares.std(axis=0, ddof=1) / np.sqrt(occupancy.shape[0])
+    else:
+        hist_se = np.full(occupancy.shape[1], np.nan)
     measured = config.events - int(config.events * config.warmup)
     estimates = {
         "mean_queue": _batch_ratio(

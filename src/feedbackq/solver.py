@@ -56,8 +56,6 @@ class ValueVector:
     kind: str
     values: np.ndarray
     depth: int
-    params: ModelParams
-    threshold: Threshold
 
     def at(self, i: int, j: int) -> float:
         """Value of state (i, j)."""
@@ -186,20 +184,20 @@ def sojourn_vector(params: ModelParams, x: float | Threshold) -> ValueVector:
     """Expected remaining sojourn times when nobody may renege."""
     blocks = build_chain(params, x, VARIANT_NONRENEGING)
     v = solve_structured(blocks, build_rhs_sojourn(params, blocks.depth))
-    return ValueVector("sojourn_n", v, blocks.depth, params, blocks.threshold)
+    return ValueVector("sojourn_n", v, blocks.depth)
 
 
 def payoff_vector_n(params: ModelParams, x: float | Threshold) -> ValueVector:
     """Expected payoffs (reward minus waiting) when nobody may renege."""
     w = sojourn_vector(params, x)
-    return ValueVector("payoff_n", params.r0 - w.values, w.depth, params, w.threshold)
+    return ValueVector("payoff_n", params.r0 - w.values, w.depth)
 
 
 def sojourn_vector_r_tagged(params: ModelParams, x: float | Threshold) -> ValueVector:
     """Expected sojourn times when others renege but the tagged customer stays."""
     blocks = build_chain(params, x, VARIANT_RENEGING_TAGGED)
     v = solve_structured(blocks, build_rhs_sojourn(params, blocks.depth))
-    return ValueVector("sojourn_r", v, blocks.depth, params, blocks.threshold)
+    return ValueVector("sojourn_r", v, blocks.depth)
 
 
 def payoff_vector_r_tagged(params: ModelParams, x: float | Threshold) -> ValueVector:
@@ -219,11 +217,11 @@ def payoff_vector_r_tagged(params: ModelParams, x: float | Threshold) -> ValueVe
         raise ConsistencyError(
             f"payoff solve and reward-minus-sojourn disagree by {gap:.3e}"
         )
-    return ValueVector("payoff_r_tagged", z, blocks.depth, params, blocks.threshold)
+    return ValueVector("payoff_r_tagged", z, blocks.depth)
 
 
 def payoff_vector_r_all(params: ModelParams, x: float | Threshold) -> ValueVector:
     """Expected payoffs when every customer, tagged included, may renege."""
     blocks = build_chain(params, x, VARIANT_RENEGING_ALL)
     z = solve_structured(blocks, build_rhs_payoff(params, blocks.depth))
-    return ValueVector("payoff_r_all", z, blocks.depth, params, blocks.threshold)
+    return ValueVector("payoff_r_all", z, blocks.depth)

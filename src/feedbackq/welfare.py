@@ -4,8 +4,10 @@ Welfare is the long-run rate of net customer benefit.  It is computed three
 ways that must agree: a summation over joining positions weighted by the
 stationary law and the positional payoffs, a flow form (reward throughput
 minus mean queue length, by Little's law), and a closed form obtained by
-collapsing the geometric sums.  The closed forms power the derivative sign
-analysis and the optimal-threshold criterion.
+collapsing the geometric sums.  The closed forms give the welfare slope.
+The optimal threshold comes from one scan of the slope's sign core written
+as a positive sum, which stays exact at rho = 1; the marginal condition
+cross-checks it at two integers.
 """
 
 from __future__ import annotations
@@ -23,10 +25,10 @@ from .solver import ConsistencyError, payoff_vector_n, payoff_vector_r_all
 FORM_AGREEMENT_TOL = 1e-9
 
 #: Traffic intensities within this distance of one are handled by the
-#: summation/grid paths only; the closed forms degenerate there.
+#: summation forms only; the closed forms degenerate there.
 RHO_ONE_EPS = 1e-6
 
-#: The optimal-threshold scans stop here; the welfare peak lies far below.
+#: The optimal-threshold scan stops here; the welfare peak lies far below.
 SCAN_LIMIT = 10_000
 
 #: Slack, relative to the curve's scale, in the runs of a unimodal curve.
@@ -157,83 +159,54 @@ def welfare_derivative(params: ModelParams, x: float | Threshold, mode: str = "n
     if abs(rho - 1.0) <= RHO_ONE_EPS:
         raise ValueError("closed-form welfare derivative requires rho != 1")
     n, p = th.n, th.p
-    core = derivative_sign_core(params, n)
+    # Above rho = 1 the core and the denominator's base are divided by rho^n,
+    # as in _welfare_n_closed, so neither overflows at large thresholds.
+    shift = n if rho > 1.0 else 0
+    one, rho_n, rho_n1, rho_n2 = (rho ** (k - shift) for k in (0, n, n + 1, n + 2))
+    core = params.r0 * params.lam * (rho - 1.0) ** 2 * one - rho * (
+        (1.0 - 2.0 * rho + n * (1.0 - rho)) * one + rho_n2
+    )
     if mode == "n":
-        den = (1.0 + rho ** (n + 1) * (p * (1.0 - rho) - 1.0)) ** 2
-        return rho**n * core / den
-    den = ((1.0 - p) * (rho ** (n + 1) - 1.0) + p * params.q * (rho ** (n + 2) - 1.0)) ** 2
-    return params.q * rho**n * core / den
+        den = (one + rho_n1 * (p * (1.0 - rho) - 1.0)) ** 2
+        return rho_n * core / den
+    den = ((1.0 - p) * (rho_n1 - one) + p * params.q * (rho_n2 - one)) ** 2
+    return params.q * rho_n * core / den
 
 
 def socially_optimal_threshold(params: ModelParams) -> int:
     """Smallest integer k at which the welfare slope turns nonpositive.
 
-    The sign core is strictly increasing in k (away from rho = 1), so the
-    first nonnegative crossing is the peak of the unimodal curve.  A
-    root-based evaluation of the same marginal condition cross-checks the
-    scan: the optimum is the integer part of that root.  At rho = 1 the
-    criterion degenerates and an integer-grid argmax is used instead.
+    Divided by rho (1 - rho)^2, the sign core on (k, k+1) is r0 mu q minus
+    F_k = sum_{i<=k} (k+1-i) rho^i, a rising sum of positive terms, exact at
+    rho = 1: the first k with F_k >= r0 mu q is the welfare peak at every
+    rho.  Away from rho = 1 the marginal condition (Naor's, with service rate
+    mu q) ``r0 mu q - v = rho/(1-rho)^2 (v(1-rho) - 1 + rho^v)`` cross-checks
+    it at two integers: its root must lie in (k, k+1].
     """
-    if params.r0 * params.mu * params.q < 1.0 - 1e-12:
+    cap = params.r0 * params.mu * params.q
+    if cap < 1.0 - 1e-12:
         raise ValueError("requires a reward at least the bare expected service time 1/(mu q)")
     rho = params.rho
-    if abs(rho - 1.0) <= RHO_ONE_EPS:
-        return _grid_argmax(params, SCAN_LIMIT)
-    target = params.r0 * params.lam * (1.0 - rho) ** 2
-    n_star: int | None = None
-    for k in range(SCAN_LIMIT):
-        f_k = 1.0 - 2.0 * rho + k * (1.0 - rho) + rho ** (k + 2)
-        if rho * f_k >= target - 1e-12 * max(1.0, abs(target)):
-            n_star = k
+    g = total = 0.0
+    for n_star in range(SCAN_LIMIT):
+        g = g * rho + 1.0  # sum_{i<=k} rho^i
+        total += g  # F_k
+        if total >= cap - 1e-12 * cap:
             break
-    if n_star is None:
-        raise ConsistencyError(f"no welfare peak found below k = {SCAN_LIMIT}")
-    nu = _marginal_root(params)
-    floor_nu = int(np.floor(nu + 1e-12))
-    if n_star != floor_nu and abs(nu - round(nu)) > 1e-9:
-        raise ConsistencyError(
-            f"threshold scan ({n_star}) disagrees with the marginal root ({nu})"
-        )
-    return n_star
-
-
-def _marginal_root(params: ModelParams) -> float:
-    """Root of `r0 mu q - v = rho/(1-rho)^2 (v(1-rho) - 1 + rho^v)` in v."""
-    rho = params.rho
-    cap = params.r0 * params.mu * params.q
-
-    def balance(v: float) -> float:
-        return cap - v - rho / (1.0 - rho) ** 2 * (v * (1.0 - rho) - 1.0 + rho**v)
-
-    lo, hi = 0.0, max(cap, 1.0)
-    for _ in range(200):
-        if balance(hi) < 0.0:
-            break
-        hi *= 2.0
     else:
-        raise ConsistencyError("marginal-root bracket did not close")
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if balance(mid) > 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
-
-
-def _grid_argmax(params: ModelParams, kmax: int) -> int:
-    best_k, best_v = 0, 0.0
-    stale = 0
-    for k in range(kmax):
-        v = welfare_n(params, float(k))
-        if v > best_v + 1e-12:
-            best_k, best_v = k, v
-            stale = 0
-        else:
-            stale += 1
-            if stale >= 10:
-                break
-    return best_k
+        raise ConsistencyError(f"no welfare peak found below k = {SCAN_LIMIT}")
+    if abs(rho - 1.0) > RHO_ONE_EPS:
+        lo, hi = (
+            cap - v - rho / (1.0 - rho) ** 2 * (v * (1.0 - rho) - 1.0 + rho**v)
+            for v in (n_star, n_star + 1)
+        )
+        # The secant root n_star + lo / (lo - hi) may miss by 1e-9; nan fails.
+        slack = 1e-9 * (lo - hi)
+        if not (lo > -slack and hi <= slack):
+            raise ConsistencyError(
+                f"threshold scan ({n_star}) disagrees with the marginal balance ({lo!r}, {hi!r})"
+            )
+    return n_star
 
 
 def welfare_curve(

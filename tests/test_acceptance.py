@@ -39,11 +39,11 @@ from feedbackq import (
     welfare_r,
 )
 from feedbackq.paradox import BAND_PROVED
-from feedbackq.welfare import _grid_argmax
 
 from chain_oracle import oracle_root, oracle_table
 from conftest import ERRATA, REPORTED_CASES, case_key, params_of
 from dense_oracle import assemble_full, solve_dense
+from welfare_oracle import _grid_argmax
 
 
 def report(number: int, name: str, ok: bool, detail: str = "") -> None:

@@ -211,6 +211,32 @@ class TestWelfare:
         assert curve[-1]["x"] == 250.0
         assert all(np.isfinite(row["s_n"]) and np.isfinite(row["s_r"]) for row in curve)
 
+    def test_large_reward_above_balance(self, capsys):
+        # The optimum's marginal-root bracket overflowed in rho^v (a traceback).
+        code, out, _ = run_cli(
+            capsys, "welfare", "--lambda", "2", "--mu", "1", "--q", "1", "--r0", "2000",
+            "--x-max", "3", "--grid-step", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["n_star"] == 9
+
+    def test_exit_codes_over_rates_and_rewards(self, capsys):
+        # Every run exits 0, 1 or 2 and lets no exception escape.  Rewards
+        # reach r0 mu q = 1e4 where rho >= 1.5; elsewhere r0 mu q <= 60 keeps
+        # the optimum below 60, since F_k >= k + 1.
+        rng = np.random.default_rng(9)
+        rhos = [0.05, 1.0, 1.5, 20.0, *np.exp(rng.uniform(np.log(0.05), np.log(20.0), 12))]
+        rhos += [1.0 + sign * 10.0**-k for k in range(2, 10) for sign in (-1.0, 1.0)]
+        for rho in rhos:
+            mu, q = float(rng.uniform(0.2, 2.0)), float(rng.uniform(0.1, 1.0))
+            top = 1e4 if rho >= 1.5 else 60.0
+            for cap in (1.0, float(rng.uniform(1.0, top)), top):
+                argv = ["welfare", "--lambda", repr(float(rho) * mu * q), "--mu", repr(mu),
+                        "--q", repr(q), "--r0", repr(cap / (mu * q)),
+                        "--x-max", "3", "--grid-step", "1"]
+                code, _, _ = run_cli(capsys, *argv)
+                assert code in (0, 1, 2), argv
+
 
 class TestParadox:
     def test_reneging_comparison(self, capsys):

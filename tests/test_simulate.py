@@ -183,6 +183,33 @@ class TestEventStream:
         with pytest.raises(ValueError):
             SimConfig(params=params, x=-1.0)
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [("reps", 2.5), ("reps", True), ("reps", 10.0), ("events", 1000.0), ("events", False),
+         ("events", 0), ("seed", -1), ("seed", 1.5), ("seed", True)],
+    )
+    def test_counts_and_seed_follow_the_integer_rule(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be an integer"):
+            SimConfig(params=ModelParams(1.0, 0.8, 0.4), x=2.0, **{field: value})
+
+    def test_numpy_integers_accepted(self):
+        params = ModelParams(1.0, 0.8, 0.4)
+        cfg = SimConfig(params=params, x=2.5, reps=np.int64(50), events=np.int64(500),
+                        seed=np.uint32(3))
+        assert (type(cfg.reps), type(cfg.events), type(cfg.seed)) == (int, int, int)
+        plain = SimConfig(params=params, x=2.5, reps=50, events=500, seed=3)
+        assert simulate_tagged(cfg, (1, 2)) == simulate_tagged(plain, (1, 2))
+
+    @pytest.mark.parametrize("events,warmup", [(1, 0.1), (10, 0.9)])
+    def test_one_measured_batch_gives_nan_errors_quietly(self, events, warmup):
+        # Runs under error::RuntimeWarning: one batch has no spread to measure.
+        cfg = SimConfig(params=ModelParams(1.0, 0.8, 0.8), x=2.5, events=events,
+                        warmup=warmup, seed=3)
+        res = simulate_stationary(cfg)
+        assert res.histogram.sum() == pytest.approx(1.0)
+        assert np.isnan(res.histogram_se).all() and len(res.histogram_se) == len(res.histogram)
+        assert np.isnan(res.estimates["mean_queue"].se)
+
 
 class TestEstimateFields:
     def test_mean_queue_counts_measured_events(self):

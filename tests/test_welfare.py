@@ -20,13 +20,13 @@ from feedbackq.solver import ConsistencyError
 from feedbackq.welfare import (
     FORM_AGREEMENT_TOL,
     _check_forms,
-    _marginal_root,
     _welfare_n_closed,
     _welfare_r_closed,
     derivative_sign_core,
 )
 
 from conftest import random_params
+from welfare_oracle import _grid_argmax, _marginal_root
 
 FIG_PARAMS = ModelParams(1.0, 0.8, 0.8, 18.0)
 
@@ -143,6 +143,18 @@ class TestDerivative:
         with pytest.raises(ValueError):
             welfare_derivative(ModelParams(0.4, 0.8, 0.5, 9.0), 2.5, "n")
 
+    @pytest.mark.parametrize("params,x", [(ModelParams(20.0, 1.0, 1.0, 5.0), 240.5),
+                                          (ModelParams(2.0, 1.0, 1.0, 5.0), 1200.5)])
+    @pytest.mark.parametrize("mode", ["n", "r"])
+    def test_finite_at_large_thresholds_above_balance(self, params, x, mode):
+        # rho^n and rho^(n+2) overflowed here before the slope was scaled by rho^-n.
+        h = 1e-5
+        up, down = (welfare_flow_form(params, x + s, mode) for s in (h, -h))
+        fd = (up - down) / (2 * h)
+        value = welfare_derivative(params, x, mode)
+        assert np.isfinite(value)
+        assert value == pytest.approx(fd, abs=1e-6, rel=1e-6)
+
 
 class TestOptimalThreshold:
     def test_reference_optimum(self):
@@ -175,6 +187,37 @@ class TestOptimalThreshold:
         n_star = socially_optimal_threshold(params)
         values = [welfare_n(params, float(k)) for k in range(25)]
         assert int(np.argmax(values)) == n_star
+
+    def test_within_unit_load_band_matches_grid_argmax(self, rng):
+        for i in range(20):
+            mu, q = rng.uniform(0.2, 2.0), rng.uniform(0.1, 1.0)
+            d = 0.0 if i % 5 == 0 else rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12.0, -6.0)
+            params = ModelParams(mu * q * (1.0 + d), mu, q, rng.uniform(1.0, 30.0) / (mu * q))
+            assert abs(params.rho - 1.0) <= welfare.RHO_ONE_EPS
+            assert socially_optimal_threshold(params) == _grid_argmax(params, 10_000)
+
+    def test_near_unit_load_raises_nothing_and_peaks(self, rng):
+        # The closed-form scan cancelled just outside the rho = 1 band and
+        # disagreed with the marginal root on 37 of 6,150 such draws.
+        for _ in range(300):
+            mu, q = rng.uniform(0.1, 2.0), rng.uniform(0.1, 1.0)
+            d = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-6.0, -1.0)
+            params = ModelParams(mu * q * (1.0 + d), mu, q, rng.uniform(1.0, 80.0) / (mu * q))
+            n_star = socially_optimal_threshold(params)
+            values = [welfare_flow_form(params, float(k)) for k in range(n_star + 4)]
+            best = int(np.argmax(values))
+            assert best == n_star or values[best] - values[n_star] <= 1e-12 * values[best]
+
+    def test_just_below_unit_load(self):
+        # cap = r0 mu q = 6 at rho = 1 - 1e-5: F_2 = 6 - 4e-5 < 6 <= F_3.  The
+        # closed-form scan returned 2 and then failed its cross-check.
+        params = ModelParams(1.0, 1.0 / (0.8 * (1.0 - 1e-5)), 0.8, 6.0 * (1.0 - 1e-5))
+        assert socially_optimal_threshold(params) == 3
+
+    def test_large_reward_above_balance(self):
+        # rho = 2: the marginal-root bracket's rho^v overflowed.  F_k < 1e5
+        # up to k = 14 (F_14 = 65,519) and F_15 = 131,054.
+        assert socially_optimal_threshold(ModelParams(2.0, 1.0, 1.0, 1e5)) == 15
 
 
 class TestCurve:
