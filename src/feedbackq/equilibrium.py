@@ -23,13 +23,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import stationary_threshold
-from .model import ModelParams, Threshold, as_threshold, positive_int
+from .model import INTEGER_EPS, ModelParams, Threshold, positive_int
 from .solver import (
     ConsistencyError,
     ValueVector,
     payoff_vector_n,
     payoff_vector_r_all,
     payoff_vector_r_tagged,
+    payoff_vectors,
     sojourn_vector,
     sojourn_vector_r_tagged,
 )
@@ -203,6 +204,15 @@ def _mixed_root(
 
         f_lo, f_hi = lower - params.r0, alpha_next - params.r0
     root, value, evals = _brent(objective, float(m), float(j), f_lo, f_hi)
+    edge = m + max(2.0 * INTEGER_EPS, math.ulp(m))
+    if abs(value) > ROOT_TOL and root <= edge:
+        # Thresholds within INTEGER_EPS of m snap to m, so no search reaches a
+        # root inside that band.  The chain is smooth in p: take the root of
+        # the chord from (m, f_lo) to a point past the band, and its residual.
+        f_edge, evals = objective(edge), evals + 1
+        if (f_edge < 0.0) != (f_lo < 0.0):
+            t = f_lo / (f_lo - f_edge)
+            root, value = m + t * (edge - m), f_lo + t * (f_edge - f_lo)
     residual = abs(value)
     if residual > ROOT_TOL:
         raise ConsistencyError(f"mixed-root residual {residual:.3e} exceeds {ROOT_TOL:.1e}")
@@ -289,15 +299,8 @@ def total_payoff(params: ModelParams, x_tag: float | Threshold, x_others: float 
     payoff wherever her own threshold lets her join (surely up to its integer
     part, with the fractional probability one position higher).
     """
-    values, dist = _population(params, x_others)
-    return values.joining_mean(dist, x_tag)
-
-
-def _population(params: ModelParams, x: float | Threshold) -> tuple[ValueVector, np.ndarray]:
-    """Positional payoffs of, and the law an arrival sees in, a population
-    thresholding at ``x``."""
-    others = as_threshold(x)
-    return payoff_vector_n(params, others), stationary_threshold(params, others, "n").probs
+    dist = stationary_threshold(params, x_others, "n").probs
+    return payoff_vector_n(params, x_others).joining_mean(dist, x_tag)
 
 
 def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
@@ -321,38 +324,36 @@ def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
             failures=grid,
             note="reward equals the lone-customer sojourn: all thresholds in [0, 1] tie",
         )
-    values_e, dist_e = _population(params, x_e)
+    values_e = payoff_vector_n(params, x_e)
+    dist_e = stationary_threshold(params, x_e, "n").probs
     u_ee = values_e.joining_mean(dist_e, x_e)
     scale = max(1.0, abs(u_ee))
-    strict = 0
-    resolved = 0
-    failures: list[float] = []
-    checked = 0
+    checked: list[tuple[float, bool | None]] = []  # strictly worse, not, or None for a tie
     for dev in deviations:
         dx = float(dev)
         if abs(dx - x_e) <= 1e-12:
             continue
-        checked += 1
         u_de = values_e.joining_mean(dist_e, dx)
         if u_ee > u_de + TIE_TOL * scale:
-            strict += 1
-        elif abs(u_ee - u_de) <= TIE_TOL * scale:
-            values_d, dist_d = _population(params, dx)
-            u_ed = values_d.joining_mean(dist_d, x_e)
-            u_dd = values_d.joining_mean(dist_d, dx)
-            if u_ed > u_dd + TIE_TOL * max(1.0, abs(u_ed)):
-                resolved += 1
-            else:
-                failures.append(dx)
+            checked.append((dx, True))
         else:
-            failures.append(dx)
+            checked.append((dx, None if abs(u_ee - u_de) <= TIE_TOL * scale else False))
+    # A tie is settled against the deviation's own population; runs of ties
+    # that share a chain depth are solved as one stack.
+    ties = [dx for dx, verdict in checked if verdict is None]
+    settled = {}
+    for dx, values_d in zip(ties, payoff_vectors(params, ties, reneging=False)):
+        dist_d = stationary_threshold(params, dx, "n").probs
+        u_ed = values_d.joining_mean(dist_d, x_e)
+        settled[dx] = u_ed > values_d.joining_mean(dist_d, dx) + TIE_TOL * max(1.0, abs(u_ed))
+    failures = tuple(dx for dx, verdict in checked if not (settled[dx] if verdict is None else verdict))
     return EssReport(
         x=x_e,
         is_ess=not failures,
-        checked=checked,
-        strict_best=strict,
-        tie_resolved=resolved,
-        failures=tuple(failures),
+        checked=len(checked),
+        strict_best=sum(verdict is True for _, verdict in checked),
+        tie_resolved=sum(settled[dx] for dx in ties),
+        failures=failures,
     )
 
 

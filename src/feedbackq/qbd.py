@@ -34,6 +34,7 @@ assembly used as its oracle lives with the tests.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,14 +77,17 @@ class QbdBlocks:
     ``local[j-1]`` is the j x j within-level block of level j, ``up[j-1]``
     the j x (j+1) block to level j+1 (absent for the top level), and
     ``down[j-2]`` the j x (j-1) block to level j-1 (absent for level 1).
+    For a stack of k thresholds (``threshold`` a tuple) the blocks of the
+    levels where they differ carry a leading axis of length k.
     """
 
     variant: str
     depth: int
-    threshold: Threshold
+    threshold: Threshold | tuple[Threshold, ...]
     local: tuple[np.ndarray, ...]
     up: tuple[np.ndarray, ...]
     down: tuple[np.ndarray, ...]
+    stack: tuple[int, ...] = ()  # leading shape of a solution: (k,) for k thresholds
 
     @property
     def num_states(self) -> int:
@@ -103,14 +107,13 @@ def _local_block(
     probability 1 - p at level n).
     """
     m = np.zeros((j, j))
-    m[0, j - 1] += c.fb * tagged_stay
-    if j > 1:
-        rows = np.arange(1, j)
-        m[rows, rows - 1] += c.fb * stay
+    flat = m.reshape(-1)  # a view: strided slices pick the diagonals
+    flat[j - 1] += c.fb * tagged_stay
+    flat[j :: j + 1] += c.fb * stay  # entries (i, i - 1)
     if j == n:
-        m[np.diag_indices(j)] += c.arr * (1.0 - p)
+        flat[:: j + 1] += c.arr * (1.0 - p)
     elif j > n:
-        m[np.diag_indices(j)] += c.arr
+        flat[:: j + 1] += c.arr
     return m
 
 
@@ -124,8 +127,7 @@ def _up_block(j: int, n: int, p: float, c: _JumpProbs) -> np.ndarray:
     else:
         rate = 0.0
     if rate:
-        idx = np.arange(j)
-        m[idx, idx] = rate
+        m.reshape(-1)[:: j + 2] = rate  # entries (i, i)
     return m
 
 
@@ -136,38 +138,56 @@ def _down_block(j: int, rate: float) -> np.ndarray:
     herself leaving the chain.
     """
     m = np.zeros((j, j - 1))
-    rows = np.arange(1, j)
-    m[rows, rows - 1] = rate
+    m.reshape(-1)[j - 1 :: j] = rate  # entries (i, i - 1)
     return m
 
 
-def build_chain(params: ModelParams, threshold: float | Threshold, variant: str) -> QbdBlocks:
-    """Blocks of one chain variant at threshold x.
+def build_chain(
+    params: ModelParams, threshold: float | Threshold | Sequence[float | Threshold], variant: str
+) -> QbdBlocks:
+    """Blocks of one chain variant at threshold x, or at a stack of thresholds
+    that share one chain depth.
 
     At the top level of a reneging chain a failed customer ahead of the
     tagged one rejoins only with probability p, the fractional part of x
     (zero for an integer x), and otherwise departs; the tagged customer does
     so too in ``reneging_all`` and always rejoins in ``reneging_tagged``.
+
+    Chains of one depth differ only at the levels p touches: level
+    ``depth - 2`` without reneging (an integer x = k reads as n = k - 1,
+    p = 1 there, which gives the same blocks), the top two levels with it.
+    For a sequence of thresholds those levels' blocks carry a leading stack
+    axis, one entry per threshold; every other level keeps one 2-D block.
     """
     if variant not in (VARIANT_NONRENEGING, VARIANT_RENEGING_TAGGED, VARIANT_RENEGING_ALL):
         raise ValueError(f"unknown chain variant {variant!r}")
-    th = as_threshold(threshold)
-    n, p = branch_parts(th)
+    stacked = not isinstance(threshold, (float, int, Threshold)) and np.ndim(threshold) > 0
+    ths = tuple(as_threshold(t) for t in threshold) if stacked else (as_threshold(threshold),)
     reneging = variant != VARIANT_NONRENEGING
-    depth = chain_depth(th, reneging)
+    depth = chain_depth(ths[0], reneging) if ths else 0
+    if not ths or stacked and any(chain_depth(th, reneging) != depth for th in ths):
+        raise ValueError(f"a threshold stack needs thresholds of one chain depth, got {threshold!r}")
     top = depth if reneging else 0
-    tagged_stay = p if variant == VARIANT_RENEGING_ALL else 1.0
+    varying = ({depth - 1, depth} if reneging else {depth - 2}) if stacked else ()
     c = _JumpProbs.from_params(params)
-    local = tuple(
-        _local_block(j, n, p, c, p, tagged_stay) if j == top else _local_block(j, n, p, c)
-        for j in range(1, depth + 1)
-    )
-    up = tuple(_up_block(j, n, p, c) for j in range(1, depth))
-    down = tuple(
-        _down_block(j, c.dn + c.fb * (1.0 - p) if j == top else c.dn)
-        for j in range(2, depth + 1)
-    )
-    return QbdBlocks(variant, depth, th, local, up, down)
+
+    def level(j: int, n: int, p: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+        stays = (p, p if variant == VARIANT_RENEGING_ALL else 1.0) if j == top else (1.0, 1.0)
+        local = _local_block(j, n, p, c, *stays)
+        up = _up_block(j, n, p, c) if j < depth else None
+        down = _down_block(j, c.dn + c.fb * (1.0 - p) if j == top else c.dn) if j > 1 else None
+        return local, up, down
+
+    def stacked_level(j: int) -> list[np.ndarray | None]:
+        each = zip(*(level(j, *branch_parts(th)) for th in ths))
+        return [None if blocks[0] is None else np.stack(blocks) for blocks in each]
+
+    first = branch_parts(ths[0])
+    local, up, down = zip(*(
+        stacked_level(j) if j in varying else level(j, *first) for j in range(1, depth + 1)
+    ))
+    th, stack = (ths, (len(ths),)) if stacked else (ths[0], ())
+    return QbdBlocks(variant, depth, th, local, up[:-1], down[1:], stack)
 
 
 def build_rhs_payoff(params: ModelParams, depth: int) -> np.ndarray:

@@ -4,15 +4,17 @@ the sojourn and payoff vectors built on it.
 :func:`solve_structured` is the linear level reduction for level-dependent
 QBDs (Gaver, Jacobs & Latouche 1984): one forward block elimination from
 level 1 upward, then back-substitution, for any number of right-hand-side
-columns.  Every solved column must meet ``RESIDUAL_TOL`` in relative
-residual.  The tests cross-check it against a dense elimination oracle
-(``tests/dense_oracle.py``) and a truncated series of ``sum_d P^d b``.
+columns and for a stack of thresholds that share a chain depth.  Every
+solved column must meet ``RESIDUAL_TOL`` in relative residual.  The tests
+cross-check it against a dense elimination oracle (``tests/dense_oracle.py``)
+and a truncated series of ``sum_d P^d b``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Callable
+from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from itertools import groupby
 
 import numpy as np
 
@@ -21,6 +23,7 @@ from .model import (
     Threshold,
     as_threshold,
     branch_parts,
+    chain_depth,
     level_offset,
     state_index,
 )
@@ -90,14 +93,21 @@ def _per_column(
     """``f(a, b)`` one column of b at a time.  numpy and BLAS take other
     routes for one column than for several, so a product or solve on all
     columns at once would not reproduce the single-column solves bit for bit."""
-    if b.shape[1] == 1:
+    if b.shape[-1] == 1:
         return f(a, b)
-    return np.hstack([f(a, b[:, i : i + 1]) for i in range(b.shape[1])])
+    return np.concatenate([f(a, b[..., i : i + 1]) for i in range(b.shape[-1])], axis=-1)
+
+
+def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """[a | b], a stack axis on one side broadcast to the other."""
+    if a.ndim != b.ndim:
+        a, b = (np.broadcast_to(m, (a.shape[:-2] or b.shape[:-2]) + m.shape[-2:]) for m in (a, b))
+    return np.concatenate((a, b), axis=-1)
 
 
 def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Forward pass of :func:`solve_structured`: k_j and h_j for j = 1..depth
-    (k_depth has no columns)."""
+    (k_depth has no columns), stacked from the first level whose blocks are."""
     depth = blocks.depth
     width = cols.shape[1]
     ks: list[np.ndarray] = []
@@ -108,17 +118,17 @@ def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], l
         c = cols[o : o + j]
         if j > 1:
             d = blocks.down[j - 2]
-            s -= d @ ks[-1]
+            s = s - d @ ks[-1]
             c = c + _per_column(np.matmul, d, hs[-1])
         try:
             if j < depth:
-                kh = np.linalg.solve(s, np.concatenate((blocks.up[j - 1], c), axis=1))
+                kh = np.linalg.solve(s, _join(blocks.up[j - 1], c))
             else:
                 kh = _per_column(np.linalg.solve, s, c)
         except np.linalg.LinAlgError as exc:
             raise ConsistencyError(f"singular elimination block at level {j}") from exc
-        ks.append(kh[:, :-width])
-        hs.append(kh[:, -width:])
+        ks.append(kh[..., :-width])
+        hs.append(kh[..., -width:])
     return ks, hs
 
 
@@ -133,6 +143,11 @@ def solve_structured(blocks: QbdBlocks, rhs: np.ndarray) -> np.ndarray:
     back-substitution v_j = h_j + k_j v_{j+1} completes the solution.  ``rhs``
     may hold several columns, all solved in the one elimination; each is
     residual-checked.
+
+    For a stack of thresholds (:func:`feedbackq.qbd.build_chain`) ``rhs`` is
+    shared and the result gains a leading stack axis.  Levels below the first
+    stacked block are eliminated once for the whole stack; each chain is
+    residual-checked and equals its own solve bit for bit.
     """
     depth = blocks.depth
     b = np.asarray(rhs, dtype=float)
@@ -140,44 +155,49 @@ def solve_structured(blocks: QbdBlocks, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs must have {blocks.num_states} rows, got shape {b.shape}")
     cols = b.reshape(blocks.num_states, -1)
     ks, hs = _eliminate(blocks, cols)
-    v = np.empty_like(cols)
+    v = np.empty(blocks.stack + cols.shape)
     h = hs[-1]
     for j in range(depth, 0, -1):
         if j < depth:
             h = hs[j - 1] + _per_column(np.matmul, ks[j - 1], h)
-        v[level_offset(j) : level_offset(j) + j] = h
-    v = v.reshape(b.shape)
+        v[..., level_offset(j) : level_offset(j) + j, :] = h
+    v = v.reshape(blocks.stack + b.shape)
     _check_residual(blocks, v, b)
     return v
 
 
-def residual_norm(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> float:
+def residual_norm(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> float | np.ndarray:
     """Relative infinity norm of (I - P) v - rhs, evaluated blockwise; for
-    several columns, the largest column's."""
+    several columns, the largest column's; for a stack, one per chain."""
     depth = blocks.depth
+    cols = np.reshape(rhs, (len(rhs), -1))
+    v = np.reshape(v, blocks.stack + cols.shape)
     r = np.empty_like(v)
     for j in range(1, depth + 1):
         o = level_offset(j)
-        seg = v[o : o + j]
-        acc = seg - blocks.local[j - 1] @ seg - rhs[o : o + j]
+        seg = v[..., o : o + j, :]
+        acc = seg - blocks.local[j - 1] @ seg - cols[o : o + j]
         if j < depth:
             on = level_offset(j + 1)
-            acc -= blocks.up[j - 1] @ v[on : on + j + 1]
+            acc -= blocks.up[j - 1] @ v[..., on : on + j + 1, :]
         if j > 1:
             od = level_offset(j - 1)
-            acc -= blocks.down[j - 2] @ v[od : od + j - 1]
-        r[o : o + j] = acc
-    scale = np.maximum(np.abs(rhs).max(axis=0), np.finfo(float).tiny)
-    return float(np.max(np.abs(r).max(axis=0) / scale))
+            acc -= blocks.down[j - 2] @ v[..., od : od + j - 1, :]
+        r[..., o : o + j, :] = acc
+    scale = np.maximum(np.abs(cols).max(axis=0), np.finfo(float).tiny)
+    res = (np.abs(r).max(axis=-2) / scale).max(axis=-1)
+    return res if blocks.stack else float(res)
 
 
 def _check_residual(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> None:
     res = residual_norm(blocks, v, rhs)
-    if not res <= RESIDUAL_TOL:
-        raise ConsistencyError(
-            f"structured solve residual {res:.3e} exceeds {RESIDUAL_TOL:.1e} "
-            f"({blocks.variant}, depth {blocks.depth})"
-        )
+    for i, r in enumerate(res.tolist() if blocks.stack else (res,)):
+        if not r <= RESIDUAL_TOL:
+            chain = f", x = {blocks.threshold[i].x!r}" if blocks.stack else ""
+            raise ConsistencyError(
+                f"structured solve residual {r:.3e} exceeds {RESIDUAL_TOL:.1e} "
+                f"({blocks.variant}, depth {blocks.depth}{chain})"
+            )
 
 
 def sojourn_vector(params: ModelParams, x: float | Threshold) -> ValueVector:
@@ -189,8 +209,7 @@ def sojourn_vector(params: ModelParams, x: float | Threshold) -> ValueVector:
 
 def payoff_vector_n(params: ModelParams, x: float | Threshold) -> ValueVector:
     """Expected payoffs (reward minus waiting) when nobody may renege."""
-    w = sojourn_vector(params, x)
-    return ValueVector("payoff_n", params.r0 - w.values, w.depth)
+    return next(payoff_vectors(params, [x], reneging=False))
 
 
 def sojourn_vector_r_tagged(params: ModelParams, x: float | Threshold) -> ValueVector:
@@ -222,6 +241,22 @@ def payoff_vector_r_tagged(params: ModelParams, x: float | Threshold) -> ValueVe
 
 def payoff_vector_r_all(params: ModelParams, x: float | Threshold) -> ValueVector:
     """Expected payoffs when every customer, tagged included, may renege."""
-    blocks = build_chain(params, x, VARIANT_RENEGING_ALL)
-    z = solve_structured(blocks, build_rhs_payoff(params, blocks.depth))
-    return ValueVector("payoff_r_all", z, blocks.depth)
+    return next(payoff_vectors(params, [x], reneging=True))
+
+
+def payoff_vectors(
+    params: ModelParams, xs: Iterable[float | Threshold], reneging: bool
+) -> Iterator[ValueVector]:
+    """Payoffs at each x in turn, nobody or (``reneging``) everybody free to
+    renege, solving every run of consecutive thresholds that share a chain
+    depth as one stack; a run of one is solved on its own."""
+    variant = VARIANT_RENEGING_ALL if reneging else VARIANT_NONRENEGING
+    for depth, run in groupby(map(as_threshold, xs), key=lambda th: chain_depth(th, reneging)):
+        run = list(run)
+        rhs = build_rhs_payoff(params, depth) if reneging else build_rhs_sojourn(params, depth)
+        # the blocks are bound to no name, so they go before the next run's are built
+        z = solve_structured(build_chain(params, run if len(run) > 1 else run[0], variant), rhs)
+        if not reneging:
+            z = params.r0 - z
+        for row in z.reshape(len(run), -1):
+            yield ValueVector("payoff_r_all" if reneging else "payoff_n", row, depth)

@@ -7,7 +7,8 @@ minus mean queue length, by Little's law), and a closed form obtained by
 collapsing the geometric sums.  The closed forms give the welfare slope.
 The optimal threshold comes from one scan of the slope's sign core written
 as a positive sum, which stays exact at rho = 1; the marginal condition
-cross-checks it at two integers.
+cross-checks it at two integers.  A curve solves the payoffs at the grid
+points of each chain depth as one stack, bit for bit the pointwise values.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 
 from .analytics import renege_probability, stationary_threshold
 from .model import ModelParams, Threshold, as_threshold, branch_parts
-from .solver import ConsistencyError, payoff_vector_n, payoff_vector_r_all
+from .solver import ConsistencyError, payoff_vectors
 
 #: Relative agreement demanded between the summation and closed forms.
 FORM_AGREEMENT_TOL = 1e-9
@@ -28,7 +29,7 @@ FORM_AGREEMENT_TOL = 1e-9
 #: summation forms only; the closed forms degenerate there.
 RHO_ONE_EPS = 1e-6
 
-#: The optimal-threshold scan stops here; the welfare peak lies far below.
+#: The optimal-threshold scan stops here; an optimum beyond it is out of domain.
 SCAN_LIMIT = 10_000
 
 #: Slack, relative to the curve's scale, in the runs of a unimodal curve.
@@ -52,22 +53,30 @@ def welfare_n(params: ModelParams, x: float | Threshold) -> float:
     Returns the summation form; away from rho = 1 the closed form is also
     evaluated and must agree.
     """
-    th = as_threshold(x)
-    value = _welfare_sum(params, th, mode="n")
-    if abs(params.rho - 1.0) > RHO_ONE_EPS:
-        closed = _welfare_n_closed(params, th)
-        _check_forms(value, closed, "n")
-    return value
+    return _welfare(params, [as_threshold(x)], "n")[0]
 
 
 def welfare_r(params: ModelParams, x: float | Threshold) -> float:
     """Welfare with reneging; reneging customers forfeit the reward."""
-    th = as_threshold(x)
-    value = _welfare_sum(params, th, mode="r")
-    if abs(params.rho - 1.0) > RHO_ONE_EPS:
-        closed = _welfare_r_closed(params, th)
-        _check_forms(value, closed, "r")
-    return value
+    return _welfare(params, [as_threshold(x)], "r")[0]
+
+
+def _welfare(params: ModelParams, ths: list[Threshold], mode: str) -> list[float]:
+    """Summation-form welfare at each threshold in turn, the payoffs of each
+    run that shares a chain depth solved as one stack; away from rho = 1
+    each value must agree with the closed form."""
+    vectors = payoff_vectors(params, (th for th in ths if th.x != 0.0), reneging=mode == "r")
+    closed_form = _welfare_n_closed if mode == "n" else _welfare_r_closed
+    values = []
+    for th in ths:
+        value = 0.0
+        if th.x != 0.0:
+            dist = stationary_threshold(params, th, mode).probs
+            value = params.lam * next(vectors).joining_mean(dist, th)
+        if abs(params.rho - 1.0) > RHO_ONE_EPS:
+            _check_forms(value, closed_form(params, th), mode)
+        values.append(value)
+    return values
 
 
 def welfare_flow_form(params: ModelParams, x: float | Threshold, mode: str = "n") -> float:
@@ -85,14 +94,6 @@ def welfare_flow_form(params: ModelParams, x: float | Threshold, mode: str = "n"
     mean_len = float(np.arange(len(dist)) @ dist)
     kept = 1.0 - renege_probability(params, th) if mode == "r" else 1.0
     return params.lam * params.r0 * joining * kept - mean_len
-
-
-def _welfare_sum(params: ModelParams, th: Threshold, mode: str) -> float:
-    if th.x == 0.0:
-        return 0.0
-    dist = stationary_threshold(params, th, mode).probs
-    z = payoff_vector_n(params, th) if mode == "n" else payoff_vector_r_all(params, th)
-    return params.lam * z.joining_mean(dist, th)
 
 
 def _welfare_n_closed(params: ModelParams, th: Threshold) -> float:
@@ -181,7 +182,8 @@ def socially_optimal_threshold(params: ModelParams) -> int:
     rho = 1: the first k with F_k >= r0 mu q is the welfare peak at every
     rho.  Away from rho = 1 the marginal condition (Naor's, with service rate
     mu q) ``r0 mu q - v = rho/(1-rho)^2 (v(1-rho) - 1 + rho^v)`` cross-checks
-    it at two integers: its root must lie in (k, k+1].
+    it at two integers: its root must lie in (k, k+1].  An optimum at or
+    beyond ``SCAN_LIMIT`` is outside the supported domain (``ValueError``).
     """
     cap = params.r0 * params.mu * params.q
     if cap < 1.0 - 1e-12:
@@ -194,7 +196,7 @@ def socially_optimal_threshold(params: ModelParams) -> int:
         if total >= cap - 1e-12 * cap:
             break
     else:
-        raise ConsistencyError(f"no welfare peak found below k = {SCAN_LIMIT}")
+        raise ValueError(f"the welfare optimum lies beyond SCAN_LIMIT = {SCAN_LIMIT}")
     if abs(rho - 1.0) > RHO_ONE_EPS:
         lo, hi = (
             cap - v - rho / (1.0 - rho) ** 2 * (v * (1.0 - rho) - 1.0 + rho**v)
@@ -212,7 +214,8 @@ def socially_optimal_threshold(params: ModelParams) -> int:
 def welfare_curve(
     params: ModelParams, step: float = 0.1, x_max: float | None = None
 ) -> WelfareCurve:
-    """Sample both welfare curves on a grid that includes the integers."""
+    """Sample both welfare curves on a grid that includes the integers; the
+    points of each chain depth share one stacked solve, bit for bit."""
     if not 0.0 < step < float("inf"):
         raise ValueError(f"grid step must be a positive finite number, got {step}")
     if x_max is not None and not 0.0 <= x_max < float("inf"):
@@ -222,8 +225,8 @@ def welfare_curve(
     upper = x_max if x_max is not None else n_star + 5.0
     count = int(round(upper / step))
     xs = np.round(np.arange(count + 1) * step, 12)
-    s_n = np.array([welfare_n(params, float(v)) for v in xs])
-    s_r = np.array([welfare_r(params, float(v)) for v in xs])
+    ths = [as_threshold(float(v)) for v in xs]
+    s_n, s_r = (np.array(_welfare(params, ths, mode)) for mode in ("n", "r"))
     return WelfareCurve(xs, s_n, s_r, n_star, s_star)
 
 

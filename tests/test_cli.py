@@ -211,6 +211,14 @@ class TestWelfare:
         assert curve[-1]["x"] == 250.0
         assert all(np.isfinite(row["s_n"]) and np.isfinite(row["s_r"]) for row in curve)
 
+    def test_optimum_beyond_the_scan_limit_exits_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "welfare", "--lambda", "0.001", "--mu", "1", "--q", "1", "--r0", "20000",
+            "--x-max", "3", "--grid-step", "1",
+        )
+        assert (code, out) == (2, "")
+        assert "SCAN_LIMIT = 10000" in json.loads(err)["error"]
+
     def test_large_reward_above_balance(self, capsys):
         # The optimum's marginal-root bracket overflowed in rho^v (a traceback).
         code, out, _ = run_cli(
@@ -311,3 +319,28 @@ class TestSeedHandling:
         _, out1, _ = run_cli(capsys, *argv)
         _, out2, _ = run_cli(capsys, *argv)
         assert json.loads(out1)["result"]["seed"] != json.loads(out2)["result"]["seed"]
+
+
+class TestReadmeCommands:
+    """The README's eight commands print what they printed before the grid
+    solves were stacked (``readme_commands.json``, recorded then): the same
+    exit codes and byte-identical output."""
+
+    RECORDED = json.loads((Path(__file__).parent / "readme_commands.json").read_text())
+
+    def test_recorded_commands_are_the_readmes(self):
+        readme = (Path(__file__).parent.parent / "README.md").read_text()
+        shown = [
+            " ".join(line.split())
+            for line in readme.replace("\\\n", " ").splitlines()
+            if line.startswith("feedbackq ")
+        ]
+        assert shown == [rec["command"] for rec in self.RECORDED]
+        assert len(shown) == 8
+
+    @pytest.mark.parametrize("index", range(8))
+    def test_output_is_unchanged(self, capsys, index):
+        rec = self.RECORDED[index]
+        code, out, _ = run_cli(capsys, *rec["command"].split()[1:])
+        assert code == rec["exit_code"]
+        assert out == rec["stdout"]

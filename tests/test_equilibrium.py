@@ -325,6 +325,17 @@ class TestEssMatchesPerDeviationCheck:
         assert report.tie_resolved > 0
         assert report == _ess_per_deviation(params, x_e, grid)
 
+    def test_unsorted_grid_with_repeats(self, rng):
+        # ties settle in runs of one chain depth; the report keeps grid order
+        params = params_of(REFERENCE_CASES[0])
+        for x_e in (nash_n(params).x, 1.3):
+            grid = np.round(np.arange(0.0, x_e + 2.0 + 1e-9, 0.05), 12)
+            grid = np.concatenate((grid, grid[::7]))
+            rng.shuffle(grid)
+            report = ess_check(params, x_e, grid)
+            assert report.tie_resolved > 0 or len(report.failures) > 1
+            assert report == _ess_per_deviation(params, x_e, grid)
+
     def test_lone_customer_tie(self):
         params = ModelParams(1.0, 0.8, 0.4)
         tie = params.with_r0(critical_values(params, 1).alpha)
@@ -484,6 +495,25 @@ class TestMixedRootSearch:
             assert 1 <= result.root_evals <= 61
         else:
             assert result.root_evals == 0
+
+    @pytest.mark.parametrize("reneging", [False, True])
+    @pytest.mark.parametrize("edge", ["beta", "gamma"])
+    def test_root_inside_the_snap_band(self, reneging, edge):
+        # 1e-11 (relative) above beta_1 the no-reneging root lies 4.2e-13 past
+        # m = 1, inside the 1e-12 band where thresholds snap to the integer:
+        # the objective is flat at the band's lower value and jumps past it,
+        # so no evaluated point met ROOT_TOL ("mixed-root residual 1.118e-09")
+        base = ModelParams(2.0, 0.125, 0.109375)
+        params = base.with_r0(getattr(critical_values(base, 1), edge) * (1.0 + 1e-11))
+        result = (nash_r if reneging else nash_n)(params)
+        case, ref_m, ref_x = _reference_nash(params, reneging)
+        assert (result.case, result.m) == (case, ref_m)
+        if case == CASE_MIXED:
+            assert abs(result.x - ref_x) <= 1e-12 * (ref_m + 1)
+            assert result.residual <= ROOT_TOL
+            assert 1 <= result.root_evals <= 61
+        if edge == "beta" and not reneging:
+            assert case == CASE_MIXED and 1.0 <= result.x <= 1.0 + 1e-12
 
     def test_typical_roots_take_a_few_solves(self):
         evals = [nash_n(params_of(case)).root_evals for case in REFERENCE_CASES]

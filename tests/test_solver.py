@@ -15,7 +15,7 @@ from feedbackq import (
     sojourn_vector_r_tagged,
     solve_structured,
 )
-from feedbackq.solver import RESIDUAL_TOL, _eliminate
+from feedbackq.solver import RESIDUAL_TOL, _check_residual, _eliminate, payoff_vectors
 
 from conftest import REFERENCE_CASES, params_of, random_params
 from dense_oracle import assemble_full, solve_dense
@@ -303,3 +303,110 @@ class TestValueVectors:
         full = assemble_full(build_chain(params, 3.0, "nonreneging"))
         with pytest.raises(ConsistencyError):
             neumann_solve(full, build_rhs_sojourn(params, 4), tol=0.0, max_terms=5)
+
+
+VARIANTS = ("nonreneging", "reneging_tagged", "reneging_all")
+
+
+def stack_of_depth(rng, reneging, depth, size=5):
+    """Thresholds of one chain depth in random order: the integer k = depth - 1,
+    one 1e-13 above it (it snaps to k) and ``size`` fractional ones, in
+    (k - 1, k) without reneging and in (k, k + 1) with it."""
+    k = depth - 1
+    base = float(k) if reneging else float(k - 1)
+    xs = [float(k), k + 1e-13, *(base + rng.uniform(0.01, 0.99, size))]
+    rng.shuffle(xs)
+    return xs
+
+
+class TestStackedSolve:
+    """Thresholds of one chain depth stacked into one elimination."""
+
+    def test_equals_the_single_threshold_solves(self, rng):
+        # the sojourn and payoff columns, and payoff_vector_r_tagged's pair
+        for _ in range(20):
+            params = random_params(rng, r0_span=(0.0, 20.0))
+            for variant in VARIANTS:
+                depth = int(rng.integers(2, 13))
+                xs = stack_of_depth(rng, variant != "nonreneging", depth)
+                blocks = build_chain(params, xs, variant)
+                assert (blocks.depth, blocks.stack) == (depth, (len(xs),))
+                pay, soj = build_rhs_payoff(params, depth), build_rhs_sojourn(params, depth)
+                for rhs in (soj, pay, np.column_stack((pay, soj))):
+                    vs = solve_structured(blocks, rhs)
+                    assert vs.shape == (len(xs), *rhs.shape)
+                    for x, v in zip(xs, vs):
+                        single = solve_structured(build_chain(params, x, variant), rhs)
+                        np.testing.assert_array_equal(v, single)
+
+    def test_only_the_levels_p_touches_carry_the_stack_axis(self, rng):
+        params = random_params(rng)
+        for variant in VARIANTS:
+            reneging = variant != "nonreneging"
+            for depth in (1, 2, 3, 7):
+                if depth == 1 and not reneging:
+                    continue  # only x = 0 has depth 1
+                xs = stack_of_depth(rng, reneging, depth, size=3)
+                blocks = build_chain(params, xs, variant)
+                singles = [build_chain(params, x, variant) for x in xs]
+                varying = {depth - 1, depth} if reneging else {depth - 2}
+                for name, first in (("local", 1), ("up", 1), ("down", 2)):
+                    for j, block in enumerate(getattr(blocks, name), start=first):
+                        assert block.ndim == (3 if j in varying else 2), (variant, name, j)
+                        for g, single in enumerate(singles):
+                            own = block[g] if block.ndim == 3 else block
+                            np.testing.assert_array_equal(own, getattr(single, name)[j - first])
+
+    def test_a_stack_of_one(self):
+        params = ModelParams(1.0, 0.8, 0.4, 7.5)
+        for variant in VARIANTS:
+            single = build_chain(params, 2.5, variant)
+            rhs = build_rhs_payoff(params, single.depth)
+            v = solve_structured(build_chain(params, [2.5], variant), rhs)
+            assert v.shape == (1, rhs.size)
+            np.testing.assert_array_equal(v[0], solve_structured(single, rhs))
+
+    def test_residual_check_names_the_failing_chain(self):
+        params = ModelParams(1.0, 0.8, 0.4, 7.5)
+        for variant in VARIANTS:
+            xs = [3.0, 3.25, 3.5] if variant != "nonreneging" else [2.25, 2.5, 3.0]
+            blocks = build_chain(params, xs, variant)
+            rhs = np.column_stack((build_rhs_payoff(params, 4), build_rhs_sojourn(params, 4)))
+            v = solve_structured(blocks, rhs)
+            res = residual_norm(blocks, v, rhs)
+            assert res.shape == (3,) and np.all(res < 1e-12)
+            v[1, -2, 1] += 1e-3
+            res = residual_norm(blocks, v, rhs)
+            assert res[1] > 1e-5 and res[0] < 1e-12 and res[2] < 1e-12
+            with pytest.raises(
+                ConsistencyError, match=rf"\({variant}, depth 4, x = {xs[1]!r}\)"
+            ):
+                _check_residual(blocks, v, rhs)
+
+    def test_rejects_mixed_depths_and_empty_stacks(self):
+        params = ModelParams(1.0, 0.8, 0.4)
+        with pytest.raises(ValueError, match="one chain depth"):
+            build_chain(params, [2.5, 3.5], "nonreneging")
+        with pytest.raises(ValueError, match="one chain depth"):
+            build_chain(params, [2.5, 3.0], "reneging_all")
+        with pytest.raises(ValueError, match="one chain depth"):
+            build_chain(params, [], "nonreneging")
+
+    def test_payoff_vectors_equal_the_single_chain_solves(self, rng):
+        # a grid, unsorted, spans several depths: each run of one depth is a stack
+        for _ in range(10):
+            params = random_params(rng, r0_span=(1.0, 20.0))
+            step = float(rng.choice([0.1, 0.25, 0.5]))
+            xs = np.round(np.arange(0.0, rng.uniform(2.0, 7.0), step), 12)
+            xs = np.concatenate((xs, rng.permutation(xs)))
+            for reneging, variant in ((False, "nonreneging"), (True, "reneging_all")):
+                got = list(payoff_vectors(params, xs, reneging))
+                assert len(got) == len(xs)
+                for x, vec in zip(xs, got):
+                    blocks = build_chain(params, x, variant)
+                    if reneging:
+                        ref = solve_structured(blocks, build_rhs_payoff(params, blocks.depth))
+                    else:
+                        ref = params.r0 - sojourn_vector(params, x).values
+                    assert vec.depth == blocks.depth
+                    np.testing.assert_array_equal(vec.values, ref)

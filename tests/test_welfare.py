@@ -167,6 +167,11 @@ class TestOptimalThreshold:
             values = [welfare_n(params, float(k)) for k in range(max(n_star + 6, 51))]
             assert int(np.argmax(values)) == n_star
 
+    def test_optimum_beyond_the_scan_limit_is_out_of_domain(self):
+        # rho = 0.001: the optimum lies near k = 19,980
+        with pytest.raises(ValueError, match=f"SCAN_LIMIT = {welfare.SCAN_LIMIT}"):
+            socially_optimal_threshold(ModelParams(0.001, 1.0, 1.0, 20000.0))
+
     def test_marginal_root_brackets_the_optimum(self, rng):
         for _ in range(10):
             params = draw_params(rng)
@@ -262,6 +267,16 @@ class TestCurve:
 
     def test_zero_x_max_samples_the_origin(self):
         np.testing.assert_array_equal(welfare_curve(FIG_PARAMS, x_max=0.0).x, [0.0])
+
+    def test_equals_the_pointwise_welfare(self, rng):
+        # the curve solves each chain depth's grid points as one stack
+        for _ in range(12):
+            params = draw_params(rng)
+            step = float(rng.choice([0.05, 0.1, 0.25, 0.3]))
+            curve = welfare_curve(params, step=step, x_max=float(rng.uniform(1.0, 8.0)))
+            for x, s_n, s_r in zip(curve.x, curve.s_n, curve.s_r):
+                assert s_n == welfare_n(params, float(x))
+                assert s_r == welfare_r(params, float(x))
 
     def test_is_unimodal_rejects_a_dip(self):
         assert not is_unimodal(np.array([0.0, 1.0, 0.5, 1.2, 0.3]))
