@@ -21,6 +21,7 @@ from .model import (
     state_index,
 )
 from .qbd import (
+    Ladder,
     QbdBlocks,
     build_chain,
     build_rhs_payoff,
@@ -92,6 +93,7 @@ __all__ = [
     "make_threshold",
     "state_index",
     "inverse_index",
+    "Ladder",
     "QbdBlocks",
     "build_chain",
     "build_rhs_payoff",

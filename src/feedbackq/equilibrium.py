@@ -11,7 +11,8 @@ whose end values are critical values the ascent already holds.  A
 safeguarded Brent search takes it from there to the float resolution of the
 threshold, typically in under ten chain solves and never in more than
 ``ROOT_SLACK`` beyond bisection's count.  The no-reneging ascent skips gamma
-and solves for it once, at the threshold it returns.
+and solves for it once, at the threshold it returns.  Every chain of a
+search closes on one :class:`~feedbackq.qbd.Ladder` per right-hand side.
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ import numpy as np
 
 from .analytics import stationary_threshold
 from .model import INTEGER_EPS, ModelParams, Threshold, positive_int
+from .qbd import Ladder
 from .solver import (
     ConsistencyError,
     ValueVector,
@@ -107,20 +109,24 @@ class EssReport:
     note: str = ""
 
 
-def critical_values(params: ModelParams, m: int, *, with_gamma: bool = True) -> CriticalValues:
+def critical_values(
+    params: ModelParams, m: int, *, with_gamma: bool = True, ladder: Ladder | None = None
+) -> CriticalValues:
     """alpha_m, beta_m, gamma_m via the chain solvers at integer threshold m.
 
     ``with_gamma=False`` skips the reneging-tagged solve and leaves gamma nan;
-    the no-reneging ascent never reads it.
+    the no-reneging ascent never reads it.  Both chains agree through level m,
+    so on one sojourn ``ladder`` gamma costs one top-level solve.
     """
     m = positive_int(m, "m")
-    w = sojourn_vector(params, float(m))
-    gamma = _gamma(params, m) if with_gamma else math.nan
+    ladder = ladder or Ladder(params)
+    w = sojourn_vector(params, float(m), ladder=ladder)
+    gamma = _gamma(params, m, ladder) if with_gamma else math.nan
     return CriticalValues(m=m, alpha=w.at(m, m), beta=w.at(m + 1, m + 1), gamma=gamma)
 
 
-def _gamma(params: ModelParams, m: int) -> float:
-    return sojourn_vector_r_tagged(params, float(m)).at(m + 1, m + 1)
+def _gamma(params: ModelParams, m: int, ladder: Ladder) -> float:
+    return sojourn_vector_r_tagged(params, float(m), ladder=ladder).at(m + 1, m + 1)
 
 
 def _brent(objective, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float, int]:
@@ -181,7 +187,7 @@ def _brent(objective, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[f
 
 
 def _mixed_root(
-    params: ModelParams, m: int, lower: float, alpha_next: float, reneging: bool
+    params: ModelParams, m: int, lower: float, alpha_next: float, reneging: bool, ladder: Ladder
 ) -> tuple[float, float, int]:
     """Mixed threshold in (m, m+1): root, residual and chain solves spent.
 
@@ -192,15 +198,16 @@ def _mixed_root(
     """
     j = m + 1
     if reneging:
+        pair = Ladder(params)
 
         def objective(x: float) -> float:
-            return payoff_vector_r_tagged(params, x).at(j, j)
+            return payoff_vector_r_tagged(params, x, ladder=pair).at(j, j)
 
         f_lo, f_hi = params.r0 - lower, params.r0 - alpha_next
     else:
 
         def objective(x: float) -> float:
-            return sojourn_vector(params, x).at(j, j) - params.r0
+            return sojourn_vector(params, x, ladder=ladder).at(j, j) - params.r0
 
         f_lo, f_hi = lower - params.r0, alpha_next - params.r0
     root, value, evals = _brent(objective, float(m), float(j), f_lo, f_hi)
@@ -226,37 +233,36 @@ def chi(params: ModelParams, m: int) -> float:
     monotone objective brackets a root.
     """
     m = positive_int(m, "m")
-    beta_m = sojourn_vector(params, float(m)).at(m + 1, m + 1)
-    alpha_next = sojourn_vector(params, float(m + 1)).at(m + 1, m + 1)
+    ladder = Ladder(params)
+    beta_m = sojourn_vector(params, float(m), ladder=ladder).at(m + 1, m + 1)
+    alpha_next = sojourn_vector(params, float(m + 1), ladder=ladder).at(m + 1, m + 1)
     if not beta_m < params.r0 < alpha_next:
-        raise ValueError(
-            f"reward {params.r0} must lie strictly in ({beta_m}, {alpha_next}) for m={m}"
-        )
-    return _mixed_root(params, m, beta_m, alpha_next, reneging=False)[0]
+        raise ValueError(f"reward {params.r0} must lie strictly in ({beta_m}, {alpha_next}) for m={m}")
+    return _mixed_root(params, m, beta_m, alpha_next, False, ladder)[0]
 
 
-def nash_n(params: ModelParams) -> EquilibriumResult:
+def nash_n(params: ModelParams, *, ladder: Ladder | None = None) -> EquilibriumResult:
     """Equilibrium threshold when reneging is forbidden.
 
     Ascends m until the reward falls below joining position m; termination is
     guaranteed because the sojourn at position m grows at least like m / mu.
     """
-    return _nash(params, reneging=False)
+    return _nash(params, False, ladder or Ladder(params))
 
 
-def nash_r(params: ModelParams) -> EquilibriumResult:
+def nash_r(params: ModelParams, *, ladder: Ladder | None = None) -> EquilibriumResult:
     """Equilibrium threshold when reneging is allowed.
 
     Same case structure as the no-reneging game with gamma_m in place of
     beta_m; mixed roots solve the reneging-aware indifference condition, so
     the equilibrium threshold is never smaller than the no-reneging one.
     """
-    return _nash(params, reneging=True)
+    return _nash(params, True, ladder or Ladder(params))
 
 
-def _nash(params: ModelParams, reneging: bool) -> EquilibriumResult:
+def _nash(params: ModelParams, reneging: bool, ladder: Ladder) -> EquilibriumResult:
     r0 = params.r0
-    cv = critical_values(params, 1, with_gamma=reneging)
+    cv = critical_values(params, 1, with_gamma=reneging, ladder=ladder)
     case, x, m, interval, residual, evals = CASE_BALK, 0.0, None, None, None, 0
     if abs(r0 - cv.alpha) <= TIE_TOL * max(1.0, cv.alpha):
         case, interval = CASE_INDIFFERENCE, (0.0, 1.0)
@@ -267,17 +273,17 @@ def _nash(params: ModelParams, reneging: bool) -> EquilibriumResult:
             if r0 <= lower:
                 case, x = CASE_PURE, float(m)
                 break
-            nxt = critical_values(params, m + 1, with_gamma=reneging)
+            nxt = critical_values(params, m + 1, with_gamma=reneging, ladder=ladder)
             if r0 < nxt.alpha:
                 case = CASE_MIXED
-                x, residual, evals = _mixed_root(params, m, lower, nxt.alpha, reneging)
+                x, residual, evals = _mixed_root(params, m, lower, nxt.alpha, reneging, ladder)
                 break
             m += 1
             cv = nxt
             if m > 100_000:  # alpha_m >= m / mu, so this is unreachable
                 raise ConsistencyError("equilibrium search failed to terminate")
     if not reneging:
-        cv = replace(cv, gamma=_gamma(params, cv.m))
+        cv = replace(cv, gamma=_gamma(params, cv.m, ladder))
     return EquilibriumResult(
         "r" if reneging else "n", case, x, m=m, interval=interval, critical=cv,
         residual=residual, root_evals=evals,
@@ -312,7 +318,8 @@ def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
     case in which every threshold in [0, 1] ties forever; it is reported as
     not evolutionarily stable.
     """
-    cv = critical_values(params, 1, with_gamma=False)
+    ladder = Ladder(params)
+    cv = critical_values(params, 1, with_gamma=False, ladder=ladder)
     if abs(params.r0 - cv.alpha) <= TIE_TOL * max(1.0, cv.alpha):
         grid = tuple(float(d) for d in deviations if abs(float(d) - x_e) > 1e-12)
         return EssReport(
@@ -324,7 +331,7 @@ def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
             failures=grid,
             note="reward equals the lone-customer sojourn: all thresholds in [0, 1] tie",
         )
-    values_e = payoff_vector_n(params, x_e)
+    values_e = next(payoff_vectors(params, [x_e], False, ladder))
     dist_e = stationary_threshold(params, x_e, "n").probs
     u_ee = values_e.joining_mean(dist_e, x_e)
     scale = max(1.0, abs(u_ee))
@@ -339,10 +346,10 @@ def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
         else:
             checked.append((dx, None if abs(u_ee - u_de) <= TIE_TOL * scale else False))
     # A tie is settled against the deviation's own population; runs of ties
-    # that share a chain depth are solved as one stack.
+    # that share a chain depth are solved as one stack, on the ladder's rungs.
     ties = [dx for dx, verdict in checked if verdict is None]
     settled = {}
-    for dx, values_d in zip(ties, payoff_vectors(params, ties, reneging=False)):
+    for dx, values_d in zip(ties, payoff_vectors(params, ties, False, ladder)):
         dist_d = stationary_threshold(params, dx, "n").probs
         u_ed = values_d.joining_mean(dist_d, x_e)
         settled[dx] = u_ed > values_d.joining_mean(dist_d, dx) + TIE_TOL * max(1.0, abs(u_ed))
@@ -372,10 +379,6 @@ def equilibrium_payoffs_r(params: ModelParams, result: EquilibriumResult) -> Val
         via_tagged = payoff_vector_r_tagged(params, result.x)
         gap = float(np.max(np.abs(direct.values - via_tagged.values)))
         if gap > PAYOFF_AGREEMENT_TOL * max(1.0, float(np.max(np.abs(direct.values)))):
-            raise ConsistencyError(
-                f"reneging equilibrium payoff routes disagree by {gap:.3e}"
-            )
+            raise ConsistencyError(f"reneging equilibrium payoff routes disagree by {gap:.3e}")
         return direct
-    if result.case == CASE_PURE:
-        return payoff_vector_r_all(params, float(result.m))
-    return payoff_vector_r_all(params, 0.0)
+    return payoff_vector_r_all(params, float(result.m) if result.case == CASE_PURE else 0.0)

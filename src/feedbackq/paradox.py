@@ -23,7 +23,8 @@ from .equilibrium import (
     equilibrium_payoffs_r,
 )
 from .model import ModelParams, as_threshold, branch_parts, positive_int
-from .solver import ConsistencyError, payoff_vector_n, sojourn_vector
+from .qbd import Ladder
+from .solver import ConsistencyError, payoff_vectors, sojourn_vector
 
 #: Agreement demanded between the closed-form sojourn gaps and the solver.
 GAP_TOL = 1e-9
@@ -101,19 +102,18 @@ def paradox1_check(params_base: ModelParams, m: int, r1: float, r2: float) -> Pa
     m = positive_int(m, "m")
     if not r1 <= r2:
         raise ValueError(f"rewards must satisfy r1 <= r2, got {r1} > {r2}")
-    cv = critical_values(params_base, m, with_gamma=False)
-    alpha_next = critical_values(params_base, m + 1, with_gamma=False).alpha
+    ladder = Ladder(params_base)  # the sojourn layout does not depend on the reward
+    cv = critical_values(params_base, m, with_gamma=False, ladder=ladder)
+    alpha_next = critical_values(params_base, m + 1, with_gamma=False, ladder=ladder).alpha
     if not (cv.beta < r1 and r2 < alpha_next):
-        raise ValueError(
-            f"rewards must lie strictly inside ({cv.beta}, {alpha_next}) for m={m}"
-        )
-    results = [nash_n(params_base.with_r0(r)) for r in (r1, r2)]
+        raise ValueError(f"rewards must lie strictly inside ({cv.beta}, {alpha_next}) for m={m}")
+    results = [nash_n(params_base.with_r0(r), ladder=ladder) for r in (r1, r2)]
     for res, r in zip(results, (r1, r2)):
         if res.case != CASE_MIXED or res.m != m:
             raise ConsistencyError(f"reward {r} did not produce a mixed equilibrium at m={m}")
     payoffs = []
     for res, r in zip(results, (r1, r2)):
-        z = payoff_vector_n(params_base.with_r0(r), res.x)
+        z = next(payoff_vectors(params_base.with_r0(r), [res.x], False, ladder))
         payoffs.append(tuple(z.at(i, i) for i in range(1, m + 1)))
     degenerate = r1 == r2
     drop = payoffs[0][m - 1] > payoffs[1][m - 1]
@@ -140,8 +140,9 @@ def paradox2_check(params: ModelParams) -> ParadoxReport:
     are strictly smaller with reneging allowed.  When both equilibria are the
     same integer the report simply records that nothing changes.
     """
-    res_n = nash_n(params)
-    res_r = nash_r(params)
+    ladder = Ladder(params)
+    res_n = nash_n(params, ladder=ladder)
+    res_r = nash_r(params, ladder=ladder)
     if res_r.case != CASE_MIXED:
         x = res_r.x
         label = f"x={x:g}"
@@ -156,7 +157,7 @@ def paradox2_check(params: ModelParams) -> ParadoxReport:
             note="reneging never triggers at this equilibrium; the games coincide",
         )
     m = res_r.m
-    z = payoff_vector_n(params, res_n.x)
+    z = next(payoff_vectors(params, [res_n.x], False, ladder))
     z_hat = equilibrium_payoffs_r(params, res_r)
     dist_n = stationary_threshold(params, res_n.x, "n").probs
     dist_r = stationary_threshold(params, res_r.x, "r").probs

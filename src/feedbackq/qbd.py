@@ -29,13 +29,14 @@ the renege mass ``mu (1-q)(1-p) / (lam + mu)``.
 The blocks are all the structured solver
 (:func:`feedbackq.solver.solve_structured`) reads: it eliminates them level
 by level, from level 1 up, and never assembles the full matrix.  The dense
-assembly used as its oracle lives with the tests.
+assembly used as its oracle lives with the tests.  Chains built on one
+:class:`Ladder` share the blocks and eliminations of their common levels.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -88,10 +89,39 @@ class QbdBlocks:
     up: tuple[np.ndarray, ...]
     down: tuple[np.ndarray, ...]
     stack: tuple[int, ...] = ()  # leading shape of a solution: (k,) for k thresholds
+    ladder: Ladder | None = None
+    rungs: tuple[list, ...] = ()  # the ladder's rungs of levels 1, 2, ...
 
     @property
     def num_states(self) -> int:
         return num_states(self.depth)
+
+
+@dataclass(eq=False, slots=True)
+class Ladder:
+    """The lower levels that the chains at one rate point share, for one
+    right-hand-side layout (``cols``) and the length of one library call.
+
+    Below n = floor(x) every variant at every threshold has the same
+    all-joining levels, hence the same k_j and h_j: one rung each in
+    ``joining``.  The ``branch``, keyed by (n, p), holds the levels from n to
+    below the top of the latest chain: at an integer m the chains with and
+    without reneging differ only at the top.  A rung is
+    ``[(local, up, down), k, h]``; the first solve through it fills k and h.
+    """
+
+    params: ModelParams
+    joining: list[list] = field(default_factory=list)
+    branch: tuple[tuple[int, float], list[list]] = ((-1, 0.0), ())
+    cols: np.ndarray | None = None
+
+    def hold(self, cols: np.ndarray) -> None:
+        """Admit only a right-hand side whose rows match, bit for bit, the ones held."""
+        held = cols if self.cols is None else self.cols
+        if held[: len(cols)].tobytes() != cols[: len(held)].tobytes():
+            raise ValueError("a ladder serves one right-hand-side layout")
+        if self.cols is None or len(cols) > len(held):
+            self.cols = cols.copy()
 
 
 def _local_block(
@@ -110,22 +140,15 @@ def _local_block(
     flat = m.reshape(-1)  # a view: strided slices pick the diagonals
     flat[j - 1] += c.fb * tagged_stay
     flat[j :: j + 1] += c.fb * stay  # entries (i, i - 1)
-    if j == n:
-        flat[:: j + 1] += c.arr * (1.0 - p)
-    elif j > n:
-        flat[:: j + 1] += c.arr
+    if j >= n:
+        flat[:: j + 1] += c.arr * (1.0 - p) if j == n else c.arr
     return m
 
 
 def _up_block(j: int, n: int, p: float, c: _JumpProbs) -> np.ndarray:
     """Arrival-joins block: positions are unchanged, the level grows by one."""
     m = np.zeros((j, j + 1))
-    if j < n:
-        rate = c.arr
-    elif j == n:
-        rate = c.arr * p
-    else:
-        rate = 0.0
+    rate = c.arr if j < n else c.arr * p if j == n else 0.0
     if rate:
         m.reshape(-1)[:: j + 2] = rate  # entries (i, i)
     return m
@@ -143,7 +166,10 @@ def _down_block(j: int, rate: float) -> np.ndarray:
 
 
 def build_chain(
-    params: ModelParams, threshold: float | Threshold | Sequence[float | Threshold], variant: str
+    params: ModelParams,
+    threshold: float | Threshold | Sequence[float | Threshold],
+    variant: str,
+    ladder: Ladder | None = None,
 ) -> QbdBlocks:
     """Blocks of one chain variant at threshold x, or at a stack of thresholds
     that share one chain depth.
@@ -158,6 +184,7 @@ def build_chain(
     p = 1 there, which gives the same blocks), the top two levels with it.
     For a sequence of thresholds those levels' blocks carry a leading stack
     axis, one entry per threshold; every other level keeps one 2-D block.
+    On a ``ladder`` the levels below the top and the stack axis are its rungs.
     """
     if variant not in (VARIANT_NONRENEGING, VARIANT_RENEGING_TAGGED, VARIANT_RENEGING_ALL):
         raise ValueError(f"unknown chain variant {variant!r}")
@@ -170,6 +197,8 @@ def build_chain(
     top = depth if reneging else 0
     varying = ({depth - 1, depth} if reneging else {depth - 2}) if stacked else ()
     c = _JumpProbs.from_params(params)
+    if ladder is not None and _JumpProbs.from_params(ladder.params) != c:
+        raise ValueError("the ladder belongs to another rate point")
 
     def level(j: int, n: int, p: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         stays = (p, p if variant == VARIANT_RENEGING_ALL else 1.0) if j == top else (1.0, 1.0)
@@ -182,12 +211,23 @@ def build_chain(
         each = zip(*(level(j, *branch_parts(th)) for th in ths))
         return [None if blocks[0] is None else np.stack(blocks) for blocks in each]
 
-    first = branch_parts(ths[0])
-    local, up, down = zip(*(
-        stacked_level(j) if j in varying else level(j, *first) for j in range(1, depth + 1)
+    n, p = branch_parts(ths[0])
+    shared = []  # the ladder's rungs of levels 1, 2, ...
+    for j in range(1, depth if ladder is not None else 1):
+        if j in varying:
+            break
+        if j >= n and ladder.branch[0] != (n, p):
+            ladder.branch = ((n, p), [])
+        rungs, i = (ladder.joining, j - 1) if j < n else (ladder.branch[1], j - max(n, 1))
+        if i == len(rungs):
+            rungs.append([level(j, n, p), None, None])
+        shared.append(rungs[i])
+    local, up, down = zip(*[r[0] for r in shared], *(
+        stacked_level(j) if j in varying else level(j, n, p)
+        for j in range(len(shared) + 1, depth + 1)
     ))
     th, stack = (ths, (len(ths),)) if stacked else (ths[0], ())
-    return QbdBlocks(variant, depth, th, local, up[:-1], down[1:], stack)
+    return QbdBlocks(variant, depth, th, local, up[:-1], down[1:], stack, ladder, tuple(shared))
 
 
 def build_rhs_payoff(params: ModelParams, depth: int) -> np.ndarray:

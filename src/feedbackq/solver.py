@@ -4,10 +4,12 @@ the sojourn and payoff vectors built on it.
 :func:`solve_structured` is the linear level reduction for level-dependent
 QBDs (Gaver, Jacobs & Latouche 1984): one forward block elimination from
 level 1 upward, then back-substitution, for any number of right-hand-side
-columns and for a stack of thresholds that share a chain depth.  Every
-solved column must meet ``RESIDUAL_TOL`` in relative residual.  The tests
-cross-check it against a dense elimination oracle (``tests/dense_oracle.py``)
-and a truncated series of ``sum_d P^d b``.
+columns and for a stack of thresholds that share a chain depth.  A chain
+built on a :class:`~feedbackq.qbd.Ladder` starts its elimination above the
+rungs already eliminated; every chain is back-substituted in full, and every
+column must meet ``RESIDUAL_TOL``.  The tests cross-check the solver against
+a dense elimination oracle (``tests/dense_oracle.py``) and a truncated series
+of ``sum_d P^d b``.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ from .qbd import (
     VARIANT_NONRENEGING,
     VARIANT_RENEGING_ALL,
     VARIANT_RENEGING_TAGGED,
+    Ladder,
     QbdBlocks,
     build_chain,
     build_rhs_payoff,
@@ -107,12 +110,17 @@ def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Forward pass of :func:`solve_structured`: k_j and h_j for j = 1..depth
-    (k_depth has no columns), stacked from the first level whose blocks are."""
+    (k_depth has no columns), stacked from the first level whose blocks are;
+    a ladder's rung is eliminated once."""
     depth = blocks.depth
     width = cols.shape[1]
-    ks: list[np.ndarray] = []
-    hs: list[np.ndarray] = []
-    for j in range(1, depth + 1):
+    rungs = blocks.rungs
+    if rungs:
+        blocks.ladder.hold(cols)
+    done = [r for r in rungs if r[1] is not None]  # a prefix: solves fill rungs from level 1 up
+    ks: list[np.ndarray] = [r[1] for r in done]
+    hs: list[np.ndarray] = [r[2] for r in done]
+    for j in range(len(done) + 1, depth + 1):
         o = level_offset(j)
         s = np.eye(j) - blocks.local[j - 1]
         c = cols[o : o + j]
@@ -129,6 +137,8 @@ def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], l
             raise ConsistencyError(f"singular elimination block at level {j}") from exc
         ks.append(kh[..., :-width])
         hs.append(kh[..., -width:])
+        if j <= len(rungs):
+            rungs[j - 1][1:] = ks[-1], hs[-1]
     return ks, hs
 
 
@@ -200,9 +210,11 @@ def _check_residual(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> None:
             )
 
 
-def sojourn_vector(params: ModelParams, x: float | Threshold) -> ValueVector:
+def sojourn_vector(
+    params: ModelParams, x: float | Threshold, *, ladder: Ladder | None = None
+) -> ValueVector:
     """Expected remaining sojourn times when nobody may renege."""
-    blocks = build_chain(params, x, VARIANT_NONRENEGING)
+    blocks = build_chain(params, x, VARIANT_NONRENEGING, ladder)
     v = solve_structured(blocks, build_rhs_sojourn(params, blocks.depth))
     return ValueVector("sojourn_n", v, blocks.depth)
 
@@ -212,30 +224,30 @@ def payoff_vector_n(params: ModelParams, x: float | Threshold) -> ValueVector:
     return next(payoff_vectors(params, [x], reneging=False))
 
 
-def sojourn_vector_r_tagged(params: ModelParams, x: float | Threshold) -> ValueVector:
+def sojourn_vector_r_tagged(
+    params: ModelParams, x: float | Threshold, *, ladder: Ladder | None = None
+) -> ValueVector:
     """Expected sojourn times when others renege but the tagged customer stays."""
-    blocks = build_chain(params, x, VARIANT_RENEGING_TAGGED)
+    blocks = build_chain(params, x, VARIANT_RENEGING_TAGGED, ladder)
     v = solve_structured(blocks, build_rhs_sojourn(params, blocks.depth))
     return ValueVector("sojourn_r", v, blocks.depth)
 
 
-def payoff_vector_r_tagged(params: ModelParams, x: float | Threshold) -> ValueVector:
+def payoff_vector_r_tagged(
+    params: ModelParams, x: float | Threshold, *, ladder: Ladder | None = None
+) -> ValueVector:
     """Expected payoffs when others renege but the tagged customer never does.
 
     Because the tagged customer always collects the reward in this variant,
     the payoff solve and reward-minus-sojourn must coincide; both are
-    computed and cross-checked.
+    computed and cross-checked, as one [payoff | sojourn] right-hand side.
     """
-    blocks = build_chain(params, x, VARIANT_RENEGING_TAGGED)
-    rhs = np.column_stack(
-        (build_rhs_payoff(params, blocks.depth), build_rhs_sojourn(params, blocks.depth))
-    )
+    blocks = build_chain(params, x, VARIANT_RENEGING_TAGGED, ladder)
+    rhs = np.column_stack([f(params, blocks.depth) for f in (build_rhs_payoff, build_rhs_sojourn)])
     z, w = solve_structured(blocks, rhs).T
     gap = float(np.max(np.abs(z - (params.r0 - w))))
     if gap > AFFINE_CHECK_TOL * max(1.0, float(np.max(np.abs(z)))):
-        raise ConsistencyError(
-            f"payoff solve and reward-minus-sojourn disagree by {gap:.3e}"
-        )
+        raise ConsistencyError(f"payoff solve and reward-minus-sojourn disagree by {gap:.3e}")
     return ValueVector("payoff_r_tagged", z, blocks.depth)
 
 
@@ -245,17 +257,19 @@ def payoff_vector_r_all(params: ModelParams, x: float | Threshold) -> ValueVecto
 
 
 def payoff_vectors(
-    params: ModelParams, xs: Iterable[float | Threshold], reneging: bool
+    params: ModelParams, xs: Iterable[float | Threshold], reneging: bool, ladder: Ladder | None = None
 ) -> Iterator[ValueVector]:
     """Payoffs at each x in turn, nobody or (``reneging``) everybody free to
     renege, solving every run of consecutive thresholds that share a chain
-    depth as one stack; a run of one is solved on its own."""
+    depth as one stack (a run of one on its own), all on one ``ladder``: the
+    one passed, which must hold this layout, or a fresh one."""
     variant = VARIANT_RENEGING_ALL if reneging else VARIANT_NONRENEGING
+    ladder = ladder or Ladder(params)
     for depth, run in groupby(map(as_threshold, xs), key=lambda th: chain_depth(th, reneging)):
         run = list(run)
         rhs = build_rhs_payoff(params, depth) if reneging else build_rhs_sojourn(params, depth)
-        # the blocks are bound to no name, so they go before the next run's are built
-        z = solve_structured(build_chain(params, run if len(run) > 1 else run[0], variant), rhs)
+        blocks = build_chain(params, run if len(run) > 1 else run[0], variant, ladder)
+        z = solve_structured(blocks, rhs)
         if not reneging:
             z = params.r0 - z
         for row in z.reshape(len(run), -1):

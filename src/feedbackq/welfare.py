@@ -7,8 +7,8 @@ minus mean queue length, by Little's law), and a closed form obtained by
 collapsing the geometric sums.  The closed forms give the welfare slope.
 The optimal threshold comes from one scan of the slope's sign core written
 as a positive sum, which stays exact at rho = 1; the marginal condition
-cross-checks it at two integers.  A curve solves the payoffs at the grid
-points of each chain depth as one stack, bit for bit the pointwise values.
+cross-checks it at two integers.  A curve solves each chain depth's grid
+points as one stack on one ladder per mode, bit for bit the pointwise values.
 """
 
 from __future__ import annotations
@@ -63,8 +63,8 @@ def welfare_r(params: ModelParams, x: float | Threshold) -> float:
 
 def _welfare(params: ModelParams, ths: list[Threshold], mode: str) -> list[float]:
     """Summation-form welfare at each threshold in turn, the payoffs of each
-    run that shares a chain depth solved as one stack; away from rho = 1
-    each value must agree with the closed form."""
+    run that shares a chain depth solved as one stack, all on one ladder;
+    away from rho = 1 each value must agree with the closed form."""
     vectors = payoff_vectors(params, (th for th in ths if th.x != 0.0), reneging=mode == "r")
     closed_form = _welfare_n_closed if mode == "n" else _welfare_r_closed
     values = []
@@ -221,12 +221,12 @@ def welfare_curve(
     if x_max is not None and not 0.0 <= x_max < float("inf"):
         raise ValueError(f"x_max must be a nonnegative finite number or None, got {x_max}")
     n_star = socially_optimal_threshold(params)
-    s_star = welfare_n(params, float(n_star))
     upper = x_max if x_max is not None else n_star + 5.0
     count = int(round(upper / step))
     xs = np.round(np.arange(count + 1) * step, 12)
     ths = [as_threshold(float(v)) for v in xs]
     s_n, s_r = (np.array(_welfare(params, ths, mode)) for mode in ("n", "r"))
+    s_star = float(s_n[xs == n_star][0]) if n_star in xs else welfare_n(params, float(n_star))
     return WelfareCurve(xs, s_n, s_r, n_star, s_star)
 
 

@@ -533,3 +533,25 @@ class TestMixedRootSearch:
         bare = critical_values(params, 2, with_gamma=False)
         assert (bare.alpha, bare.beta) == (full.alpha, full.beta)
         assert np.isnan(bare.gamma)
+
+
+class TestDeepLadder:
+    """A deep ascent on one ladder: pinned to the values of the chain solves
+    that rebuilt and re-eliminated every chain from level 1."""
+
+    PARAMS = ModelParams(1.0, 1.0, 0.9, 120.3)
+    CRITICAL = (108, 119.27946729058944, 120.27968115951164, 120.27946729058944)
+
+    @pytest.mark.parametrize(
+        "search, x, residual, evals",
+        [
+            (nash_n, 108.1683404938009, 4.263256414560601e-14, 10),
+            (nash_r, 108.18521872807104, 5.273292520982706e-15, 7),
+        ],
+    )
+    def test_pinned_equilibrium(self, search, x, residual, evals):
+        result = search(self.PARAMS)
+        cv = result.critical
+        assert (result.case, result.x, result.m) == (CASE_MIXED, x, 108)
+        assert (cv.m, cv.alpha, cv.beta, cv.gamma) == self.CRITICAL
+        assert (result.residual, result.root_evals) == (residual, evals)

@@ -3,10 +3,13 @@ import pytest
 
 from feedbackq import (
     ConsistencyError,
+    Ladder,
     ModelParams,
     build_chain,
     build_rhs_payoff,
     build_rhs_sojourn,
+    nash_n,
+    nash_r,
     payoff_vector_n,
     payoff_vector_r_all,
     payoff_vector_r_tagged,
@@ -15,6 +18,7 @@ from feedbackq import (
     sojourn_vector_r_tagged,
     solve_structured,
 )
+from feedbackq.model import chain_depth, level_offset
 from feedbackq.solver import RESIDUAL_TOL, _check_residual, _eliminate, payoff_vectors
 
 from conftest import REFERENCE_CASES, params_of, random_params
@@ -410,3 +414,131 @@ class TestStackedSolve:
                         ref = params.r0 - sojourn_vector(params, x).values
                     assert vec.depth == blocks.depth
                     np.testing.assert_array_equal(vec.values, ref)
+
+
+def layout_rhs(params, layout, depth):
+    """The three right-hand-side layouts the library closes chains with."""
+    pay, soj = build_rhs_payoff(params, depth), build_rhs_sojourn(params, depth)
+    return {"sojourn": soj, "payoff": pay, "pair": np.column_stack((pay, soj))}[layout]
+
+
+class TestLadder:
+    """Chains closed on a ladder of shared, once-eliminated lower levels."""
+
+    def test_closes_equal_the_full_solves_bit_for_bit(self, rng):
+        # one ladder per layout and draw; thresholds come in random order, so
+        # the ladder extends, skips back and replaces its branch on the way
+        kinds = set()
+        for _ in range(400):
+            params = random_params(rng, r0_span=(0.0, 20.0))
+            ladders = {layout: Ladder(params) for layout in ("sojourn", "payoff", "pair")}
+            for _ in range(6):
+                variant = VARIANTS[rng.integers(3)]
+                layout = ("sojourn", "payoff", "pair")[rng.integers(3)]
+                shape = ("fraction", "integer", "below one", "stack")[rng.integers(4)]
+                if shape == "fraction":
+                    x = float(rng.uniform(1.0, 9.0))
+                elif shape == "integer":
+                    x = float(rng.integers(0, 10))
+                elif shape == "below one":
+                    x = float(rng.uniform(0.0, 1.0))
+                else:
+                    reneging = variant != "nonreneging"
+                    x = stack_of_depth(rng, reneging, int(rng.integers(1 + (not reneging), 11)))
+                blocks = build_chain(params, x, variant, ladders[layout])
+                rhs = layout_rhs(params, layout, blocks.depth)
+                got = solve_structured(blocks, rhs)
+                ref = solve_structured(build_chain(params, x, variant), rhs)
+                np.testing.assert_array_equal(got, ref)
+                kinds.add((variant, layout, shape))
+        assert len(kinds) == 36
+
+    def test_extends_on_demand_and_shares_its_blocks(self):
+        params = ModelParams(1.0, 0.8, 0.4)
+        ladder = Ladder(params)
+        shallow = build_chain(params, 3.5, "nonreneging", ladder)
+        assert len(ladder.joining) == 2 and len(shallow.rungs) == 4  # levels 1-2, then 3-4
+        deep = build_chain(params, 7.25, "reneging_all", ladder)
+        assert len(ladder.joining) == 6 and len(deep.rungs) == 7
+        for j in (1, 2):
+            assert deep.local[j - 1] is shallow.local[j - 1] is ladder.joining[j - 1][0][0]
+            assert deep.up[j - 1] is shallow.up[j - 1]
+        assert deep.down[0] is shallow.down[0]
+        assert shallow.local[2] is not deep.local[2]  # level 3 balks in the shallow chain
+        assert all(rung[1] is None for rung in ladder.joining)  # nothing eliminated yet
+        solve_structured(shallow, build_rhs_sojourn(params, shallow.depth))
+        assert [rung[1] is not None for rung in ladder.joining] == [True] * 2 + [False] * 4
+        first = [rung[1] for rung in ladder.joining[:2]]
+        solve_structured(deep, build_rhs_sojourn(params, deep.depth))
+        assert all(rung[1] is not None for rung in ladder.joining)
+        assert all(rung[1] is k for rung, k in zip(ladder.joining, first))
+
+    def test_gamma_chain_closes_only_its_top_level(self):
+        # at an integer m both chains agree through level m, so the
+        # reneging-tagged close reuses every rung the no-reneging one filled
+        params = ModelParams(1.0, 0.8, 0.4)
+        ladder = Ladder(params)
+        for m in (1, 2, 5):
+            plain = build_chain(params, float(m), "nonreneging", ladder)
+            solve_structured(plain, build_rhs_sojourn(params, m + 1))
+            tagged = build_chain(params, float(m), "reneging_tagged", ladder)
+            assert tagged.rungs == plain.rungs and len(tagged.rungs) == m
+            ks, hs = _eliminate(tagged, build_rhs_sojourn(params, m + 1)[:, None])
+            assert all(k is rung[1] and h is rung[2] for k, h, rung in zip(ks, hs, tagged.rungs))
+            assert len(ks) == m + 1
+
+    @pytest.mark.parametrize("fault", ["perturbed k", "dropped D h"])
+    def test_a_corrupted_rung_fails_every_close_above_it(self, fault):
+        params = ModelParams(1.0, 0.8, 0.4, 7.8)
+        ladder = Ladder(params)
+        deep = build_chain(params, 8.5, "nonreneging", ladder)
+        solve_structured(deep, build_rhs_sojourn(params, deep.depth))
+        j = 4
+        rung = ladder.joining[j - 1]
+        if fault == "perturbed k":
+            rung[1] = rung[1] * (1.0 + 1e-6)
+        else:
+            local, up, down = rung[0]
+            s = np.eye(j) - local - down @ ladder.joining[j - 2][1]
+            rung[2] = np.linalg.solve(s, build_rhs_sojourn(params, j)[level_offset(j) :, None])
+        for variant in VARIANTS:
+            for x in (5.0, 5.5, 6.25, 8.5):  # floor(x) > j: level j is a joining rung
+                blocks = build_chain(params, x, variant, ladder)
+                with pytest.raises(ConsistencyError, match="residual"):
+                    solve_structured(blocks, build_rhs_sojourn(params, blocks.depth))
+            for x in (2.5, 4.0, 4.75):  # level j is on no rung, or on the branch
+                blocks = build_chain(params, x, variant, ladder)
+                solve_structured(blocks, build_rhs_sojourn(params, blocks.depth))
+
+    def test_rate_points_interleaved_keep_their_own_answers(self, rng):
+        # two rate points, each with its own ladders, take turns in one call
+        # sequence; every answer equals the same call made with no ladder
+        pa, pb = random_params(rng, r0_span=(1.0, 20.0)), random_params(rng, r0_span=(1.0, 20.0))
+        sojourn = {pa: Ladder(pa), pb: Ladder(pb)}
+        payoff = {pa: Ladder(pa), pb: Ladder(pb)}
+        for x in rng.uniform(0.0, 8.0, 20):
+            for params in (pa, pb, pa):
+                got = sojourn_vector(params, x, ladder=sojourn[params])
+                np.testing.assert_array_equal(got.values, sojourn_vector(params, x).values)
+                got = payoff_vectors(params, [x, x + 1.0], True, payoff[params])
+                for vec, y in zip(got, (x, x + 1.0)):
+                    np.testing.assert_array_equal(vec.values, payoff_vector_r_all(params, y).values)
+        for params in (pa, pb, pa):
+            assert nash_n(params, ladder=sojourn[params]) == nash_n(params)
+            assert nash_r(params, ladder=sojourn[params]) == nash_r(params)
+
+    def test_rejects_another_rate_point_or_layout(self):
+        params = ModelParams(1.0, 0.8, 0.4, 7.8)
+        ladder = Ladder(params)
+        sojourn_vector(params, 4.5, ladder=ladder)
+        with pytest.raises(ValueError, match="another rate point"):
+            build_chain(ModelParams(1.0, 0.8, 0.5), 4.5, "nonreneging", ladder)
+        with pytest.raises(ValueError, match="one right-hand-side layout"):
+            payoff_vector_r_tagged(params, 5.5, ladder=ladder)
+        with pytest.raises(ValueError, match="one right-hand-side layout"):
+            next(payoff_vectors(params, [5.5], True, ladder))
+        # the reward enters no block and no sojourn row
+        other = params.with_r0(3.0)
+        np.testing.assert_array_equal(
+            sojourn_vector(other, 6.5, ladder=ladder).values, sojourn_vector(other, 6.5).values
+        )

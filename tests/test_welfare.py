@@ -278,6 +278,19 @@ class TestCurve:
                 assert s_n == welfare_n(params, float(x))
                 assert s_r == welfare_r(params, float(x))
 
+    @pytest.mark.parametrize("step, x_max", [(0.1, None), (0.5, None), (0.4, 6.0), (0.7, 2.0)])
+    def test_peak_welfare_read_off_the_grid_or_solved(self, step, x_max, monkeypatch):
+        # n* = 3 lies on the first two grids and is read off s_n; 0.4 and
+        # 0.7 miss it, and the one point solve remains
+        curve = welfare_curve(FIG_PARAMS, step=step, x_max=x_max)
+        assert curve.s_star == welfare_n(FIG_PARAMS, 3.0)
+        on_grid = 3.0 in curve.x
+        assert on_grid == (step in (0.1, 0.5))
+        calls = []
+        monkeypatch.setattr(welfare, "welfare_n", lambda *args: calls.append(args) or 0.0)
+        welfare_curve(FIG_PARAMS, step=step, x_max=x_max)
+        assert calls == ([] if on_grid else [(FIG_PARAMS, 3.0)])
+
     def test_is_unimodal_rejects_a_dip(self):
         assert not is_unimodal(np.array([0.0, 1.0, 0.5, 1.2, 0.3]))
 
