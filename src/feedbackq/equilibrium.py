@@ -10,9 +10,10 @@ equilibrium is the root on (m, m+1) of a monotone indifference condition
 whose end values are critical values the ascent already holds.  A
 safeguarded Brent search takes it from there to the float resolution of the
 threshold, typically in under ten chain solves and never in more than
-``ROOT_SLACK`` beyond bisection's count.  The no-reneging ascent skips gamma
-and solves for it once, at the threshold it returns.  Every chain of a
-search closes on one :class:`~feedbackq.qbd.Ladder` per right-hand side.
+``ROOT_SLACK`` beyond bisection's count.  As gamma_m <= beta_m < alpha_{m+1},
+both games share one ascent on alpha and beta and solve for gamma once, at
+the m where it stops.  Every chain of a search closes on one
+:class:`~feedbackq.qbd.Ladder` per right-hand side.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ def critical_values(
     """alpha_m, beta_m, gamma_m via the chain solvers at integer threshold m.
 
     ``with_gamma=False`` skips the reneging-tagged solve and leaves gamma nan;
-    the no-reneging ascent never reads it.  Both chains agree through level m,
-    so on one sojourn ``ladder`` gamma costs one top-level solve.
+    the Nash ascent never reads it and solves for gamma once, where it stops.
+    On one sojourn ``ladder`` both chains reuse the all-joining levels below m.
     """
     m = positive_int(m, "m")
     ladder = ladder or Ladder(params)
@@ -253,37 +254,37 @@ def nash_n(params: ModelParams, *, ladder: Ladder | None = None) -> EquilibriumR
 def nash_r(params: ModelParams, *, ladder: Ladder | None = None) -> EquilibriumResult:
     """Equilibrium threshold when reneging is allowed.
 
-    Same case structure as the no-reneging game with gamma_m in place of
-    beta_m; mixed roots solve the reneging-aware indifference condition, so
-    the equilibrium threshold is never smaller than the no-reneging one.
+    Same case structure and ascent as the no-reneging game, with gamma_m in
+    place of beta_m; mixed roots solve the reneging-aware indifference
+    condition, so the threshold is never smaller than the no-reneging one.
     """
     return _nash(params, True, ladder or Ladder(params))
 
 
 def _nash(params: ModelParams, reneging: bool, ladder: Ladder) -> EquilibriumResult:
     r0 = params.r0
-    cv = critical_values(params, 1, with_gamma=reneging, ladder=ladder)
+    cv = critical_values(params, 1, with_gamma=False, ladder=ladder)
     case, x, m, interval, residual, evals = CASE_BALK, 0.0, None, None, None, 0
     if abs(r0 - cv.alpha) <= TIE_TOL * max(1.0, cv.alpha):
         case, interval = CASE_INDIFFERENCE, (0.0, 1.0)
     elif r0 >= cv.alpha:
-        m = 1
-        while True:
-            lower = cv.gamma if reneging else cv.beta
-            if r0 <= lower:
-                case, x = CASE_PURE, float(m)
-                break
-            nxt = critical_values(params, m + 1, with_gamma=reneging, ladder=ladder)
+        m, nxt = 1, None  # nxt: the critical values at m + 1, once closed
+        while r0 > cv.beta:
+            nxt = critical_values(params, m + 1, with_gamma=False, ladder=ladder)
             if r0 < nxt.alpha:
-                case = CASE_MIXED
-                x, residual, evals = _mixed_root(params, m, lower, nxt.alpha, reneging, ladder)
                 break
-            m += 1
-            cv = nxt
+            m, cv, nxt = m + 1, nxt, None
             if m > 100_000:  # alpha_m >= m / mu, so this is unreachable
                 raise ConsistencyError("equilibrium search failed to terminate")
-    if not reneging:
-        cv = replace(cv, gamma=_gamma(params, cv.m, ladder))
+    cv = replace(cv, gamma=_gamma(params, cv.m, ladder))
+    if m is not None:
+        lower = cv.gamma if reneging else cv.beta
+        if r0 <= lower:
+            case, x = CASE_PURE, float(m)
+        else:
+            case = CASE_MIXED
+            nxt = nxt or critical_values(params, m + 1, with_gamma=False, ladder=ladder)
+            x, residual, evals = _mixed_root(params, m, lower, nxt.alpha, reneging, ladder)
     return EquilibriumResult(
         "r" if reneging else "n", case, x, m=m, interval=interval, critical=cv,
         residual=residual, root_evals=evals,

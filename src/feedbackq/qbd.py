@@ -30,7 +30,7 @@ The blocks are all the structured solver
 (:func:`feedbackq.solver.solve_structured`) reads: it eliminates them level
 by level, from level 1 up, and never assembles the full matrix.  The dense
 assembly used as its oracle lives with the tests.  Chains built on one
-:class:`Ladder` share the blocks and eliminations of their common levels.
+:class:`Ladder` share the blocks and eliminations of their all-joining levels.
 """
 
 from __future__ import annotations
@@ -79,7 +79,8 @@ class QbdBlocks:
     the j x (j+1) block to level j+1 (absent for the top level), and
     ``down[j-2]`` the j x (j-1) block to level j-1 (absent for level 1).
     For a stack of k thresholds (``threshold`` a tuple) the blocks of the
-    levels where they differ carry a leading axis of length k.
+    levels where they differ carry a leading axis of length k.  On a ladder
+    the all-joining levels below floor(x) are its shared ``rungs``.
     """
 
     variant: str
@@ -104,15 +105,12 @@ class Ladder:
 
     Below n = floor(x) every variant at every threshold has the same
     all-joining levels, hence the same k_j and h_j: one rung each in
-    ``joining``.  The ``branch``, keyed by (n, p), holds the levels from n to
-    below the top of the latest chain: at an integer m the chains with and
-    without reneging differ only at the top.  A rung is
-    ``[(local, up, down), k, h]``; the first solve through it fills k and h.
+    ``joining``, extended on demand.  A rung is ``[(local, up, down), k, h]``;
+    the first solve through it fills k and h.
     """
 
     params: ModelParams
     joining: list[list] = field(default_factory=list)
-    branch: tuple[tuple[int, float], list[list]] = ((-1, 0.0), ())
     cols: np.ndarray | None = None
 
     def hold(self, cols: np.ndarray) -> None:
@@ -184,7 +182,8 @@ def build_chain(
     p = 1 there, which gives the same blocks), the top two levels with it.
     For a sequence of thresholds those levels' blocks carry a leading stack
     axis, one entry per threshold; every other level keeps one 2-D block.
-    On a ``ladder`` the levels below the top and the stack axis are its rungs.
+    On a ``ladder`` the all-joining levels below n and below the stack axis
+    are its rungs.
     """
     if variant not in (VARIANT_NONRENEGING, VARIANT_RENEGING_TAGGED, VARIANT_RENEGING_ALL):
         raise ValueError(f"unknown chain variant {variant!r}")
@@ -213,15 +212,12 @@ def build_chain(
 
     n, p = branch_parts(ths[0])
     shared = []  # the ladder's rungs of levels 1, 2, ...
-    for j in range(1, depth if ladder is not None else 1):
+    for j in range(1, n if ladder is not None else 1):
         if j in varying:
             break
-        if j >= n and ladder.branch[0] != (n, p):
-            ladder.branch = ((n, p), [])
-        rungs, i = (ladder.joining, j - 1) if j < n else (ladder.branch[1], j - max(n, 1))
-        if i == len(rungs):
-            rungs.append([level(j, n, p), None, None])
-        shared.append(rungs[i])
+        if j > len(ladder.joining):
+            ladder.joining.append([level(j, n, p), None, None])
+        shared.append(ladder.joining[j - 1])
     local, up, down = zip(*[r[0] for r in shared], *(
         stacked_level(j) if j in varying else level(j, n, p)
         for j in range(len(shared) + 1, depth + 1)

@@ -137,14 +137,6 @@ def _check_forms(summation: float, closed: float, mode: str) -> None:
         )
 
 
-def derivative_sign_core(params: ModelParams, n: int) -> float:
-    """The factor whose sign decides whether welfare rises on (n, n+1)."""
-    rho = params.rho
-    return params.r0 * params.lam * (rho - 1.0) ** 2 - rho * (
-        1.0 - 2.0 * rho + n * (1.0 - rho) + rho ** (n + 2)
-    )
-
-
 def welfare_derivative(params: ModelParams, x: float | Threshold, mode: str = "n") -> float:
     """Closed-form welfare slope at a non-integer threshold.
 

@@ -4,6 +4,7 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from feedbackq import (
     EssReport,
+    Ladder,
     ModelParams,
     best_response_n,
     chi,
@@ -18,6 +19,7 @@ from feedbackq import (
     sojourn_vector,
     total_payoff,
 )
+import feedbackq.equilibrium as equilibrium
 from feedbackq.equilibrium import (
     CASE_BALK,
     CASE_INDIFFERENCE,
@@ -520,12 +522,20 @@ class TestMixedRootSearch:
         evals += [nash_r(params_of(case)).root_evals for case in REFERENCE_CASES]
         assert max(evals) <= 15
 
-    def test_no_reneging_result_carries_gamma(self):
-        for r0 in (0.5, 1.0 / 0.32, 7.5, 7.8):
-            params = ModelParams(1.0, 0.8, 0.4, r0)
-            result = nash_n(params)
-            assert result.critical == critical_values(params, result.m or 1)
+    def test_no_reneging_result_carries_gamma(self, rng):
+        # gamma_m <= beta_m < alpha_{m+1}: both games stop at the same m, with
+        # the same critical values, gamma included (D = r0 mu q up to 12: m up to 15)
+        draws = [ModelParams(1.0, 0.8, 0.4, r0) for r0 in (0.5, 1.0 / 0.32, 7.5, 7.8)]
+        for _ in range(400):
+            base = random_params(rng)
+            draws.append(base.with_r0(rng.uniform(0.3, 12.0) / (base.mu * base.q)))
+        for params in draws:
+            ladder = Ladder(params)
+            result = nash_n(params, ladder=ladder)
+            assert result.critical == critical_values(params, result.m or 1, ladder=ladder)
             assert (result.root_evals > 0) == (result.case == CASE_MIXED)
+            other = nash_r(params, ladder=ladder)
+            assert (other.m, other.critical) == (result.m, result.critical)
 
     def test_gamma_can_be_skipped(self):
         params = ModelParams(1.0, 0.8, 0.4)
@@ -555,3 +565,16 @@ class TestDeepLadder:
         assert (result.case, result.x, result.m) == (CASE_MIXED, x, 108)
         assert (cv.m, cv.alpha, cv.beta, cv.gamma) == self.CRITICAL
         assert (result.residual, result.root_evals) == (residual, evals)
+
+    def test_reneging_ascent_closes_one_gamma_chain(self, monkeypatch):
+        # the ascent reads alpha and beta only; gamma is closed where it stops
+        closed = []
+        solve = equilibrium.sojourn_vector_r_tagged
+
+        def close(params, x, **kwargs):
+            closed.append(x)
+            return solve(params, x, **kwargs)
+
+        monkeypatch.setattr(equilibrium, "sojourn_vector_r_tagged", close)
+        assert nash_r(self.PARAMS).m == 108
+        assert closed == [108.0]

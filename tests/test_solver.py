@@ -427,7 +427,7 @@ class TestLadder:
 
     def test_closes_equal_the_full_solves_bit_for_bit(self, rng):
         # one ladder per layout and draw; thresholds come in random order, so
-        # the ladder extends, skips back and replaces its branch on the way
+        # the ladder extends and skips back on the way
         kinds = set()
         for _ in range(400):
             params = random_params(rng, r0_span=(0.0, 20.0))
@@ -457,9 +457,9 @@ class TestLadder:
         params = ModelParams(1.0, 0.8, 0.4)
         ladder = Ladder(params)
         shallow = build_chain(params, 3.5, "nonreneging", ladder)
-        assert len(ladder.joining) == 2 and len(shallow.rungs) == 4  # levels 1-2, then 3-4
+        assert len(ladder.joining) == 2 and shallow.rungs == tuple(ladder.joining)  # levels 1-2
         deep = build_chain(params, 7.25, "reneging_all", ladder)
-        assert len(ladder.joining) == 6 and len(deep.rungs) == 7
+        assert len(ladder.joining) == 6 and deep.rungs == tuple(ladder.joining)  # levels 1-6
         for j in (1, 2):
             assert deep.local[j - 1] is shallow.local[j - 1] is ladder.joining[j - 1][0][0]
             assert deep.up[j - 1] is shallow.up[j - 1]
@@ -472,20 +472,34 @@ class TestLadder:
         solve_structured(deep, build_rhs_sojourn(params, deep.depth))
         assert all(rung[1] is not None for rung in ladder.joining)
         assert all(rung[1] is k for rung, k in zip(ladder.joining, first))
+        # a chain's rungs are its levels 1 .. floor(x) - 1, whatever the variant
+        for variant in VARIANTS:
+            for x in (0.0, 0.5, 1.0, 2.0, 2.5, 5.0, 6.75, 3.0):
+                blocks = build_chain(params, x, variant, ladder)
+                assert blocks.rungs == tuple(ladder.joining[: max(int(x) - 1, 0)])
+        # a stack shares the levels below its first stacked one: without
+        # reneging, depth 6 holds x in (4, 5] and level 4 differs across it
+        assert len(build_chain(params, 5.0, "nonreneging", ladder).rungs) == 4
+        for xs in ([5.0, 5.0], [5.0, 4.5], [4.5, 5.0]):
+            assert build_chain(params, xs, "nonreneging", ladder).rungs == tuple(ladder.joining[:3])
+        # with reneging, depth 6 holds x in [5, 6) and only the top two levels differ
+        stack = build_chain(params, [5.0, 5.5], "reneging_all", ladder)
+        assert stack.rungs == tuple(ladder.joining[:4])
 
-    def test_gamma_chain_closes_only_its_top_level(self):
-        # at an integer m both chains agree through level m, so the
-        # reneging-tagged close reuses every rung the no-reneging one filled
+    def test_gamma_chain_reuses_the_levels_below_m(self):
+        # at an integer m both chains share the all-joining levels 1 .. m - 1;
+        # the reneging-tagged close eliminates levels m and m + 1 itself
         params = ModelParams(1.0, 0.8, 0.4)
         ladder = Ladder(params)
         for m in (1, 2, 5):
             plain = build_chain(params, float(m), "nonreneging", ladder)
             solve_structured(plain, build_rhs_sojourn(params, m + 1))
             tagged = build_chain(params, float(m), "reneging_tagged", ladder)
-            assert tagged.rungs == plain.rungs and len(tagged.rungs) == m
+            assert tagged.rungs == plain.rungs and len(tagged.rungs) == m - 1
             ks, hs = _eliminate(tagged, build_rhs_sojourn(params, m + 1)[:, None])
             assert all(k is rung[1] and h is rung[2] for k, h, rung in zip(ks, hs, tagged.rungs))
             assert len(ks) == m + 1
+            assert not any(k is rung[1] for k in ks[m - 1 :] for rung in ladder.joining)
 
     @pytest.mark.parametrize("fault", ["perturbed k", "dropped D h"])
     def test_a_corrupted_rung_fails_every_close_above_it(self, fault):
@@ -506,7 +520,7 @@ class TestLadder:
                 blocks = build_chain(params, x, variant, ladder)
                 with pytest.raises(ConsistencyError, match="residual"):
                     solve_structured(blocks, build_rhs_sojourn(params, blocks.depth))
-            for x in (2.5, 4.0, 4.75):  # level j is on no rung, or on the branch
+            for x in (2.5, 4.0, 4.75):  # floor(x) <= j: level j is on no rung
                 blocks = build_chain(params, x, variant, ladder)
                 solve_structured(blocks, build_rhs_sojourn(params, blocks.depth))
 

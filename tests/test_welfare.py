@@ -22,11 +22,10 @@ from feedbackq.welfare import (
     _check_forms,
     _welfare_n_closed,
     _welfare_r_closed,
-    derivative_sign_core,
 )
 
 from conftest import random_params
-from welfare_oracle import _grid_argmax, _marginal_root
+from welfare_oracle import _grid_argmax, _marginal_root, derivative_sign_core
 
 FIG_PARAMS = ModelParams(1.0, 0.8, 0.8, 18.0)
 

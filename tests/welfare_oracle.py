@@ -1,9 +1,10 @@
-"""Test-side references for the socially optimal threshold.
+"""Test-side references for the socially optimal threshold and the welfare slope.
 
 ``socially_optimal_threshold`` scans a positive sum and checks the marginal
 condition at two integers.  These are the routes it replaced, kept verbatim:
 the marginal condition's root by a doubling bracket and 200 bisection steps,
-and the argmax of welfare over the integers by chain solves.
+and the argmax of welfare over the integers by chain solves.  The slope's
+sign core in its closed form, which no library route reads, lives here too.
 """
 
 from __future__ import annotations
@@ -48,3 +49,11 @@ def _grid_argmax(params: ModelParams, kmax: int) -> int:
             if stale >= 10:
                 break
     return best_k
+
+
+def derivative_sign_core(params: ModelParams, n: int) -> float:
+    """The factor whose sign decides whether welfare rises on (n, n+1)."""
+    rho = params.rho
+    return params.r0 * params.lam * (rho - 1.0) ** 2 - rho * (
+        1.0 - 2.0 * rho + n * (1.0 - rho) + rho ** (n + 2)
+    )
