@@ -29,6 +29,7 @@ from .equilibrium import (
 )
 from .model import ModelParams, as_threshold, chain_depth, inverse_index
 from .paradox import paradox1_check, paradox2_check
+from .qbd import Ladder
 from .simulate import SimConfig, simulate_renege_fraction, simulate_stationary, simulate_tagged
 from .solver import (
     RESIDUAL_TOL,
@@ -144,10 +145,11 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
     result: dict = {}
     diagnostics: dict = {}
     root_evals: dict = {}
+    ladder = Ladder(params)  # both games read one ascent's critical values
     for mode, nash in (("n", nash_n), ("r", nash_r)):
         if args.mode not in (mode, "both"):
             continue
-        res = nash(params)
+        res = nash(params, ladder=ladder)
         result[mode] = _equilibrium_payload(res)
         root_evals[f"nash_{mode}_root"] = res.root_evals
         if res.residual is not None:

@@ -13,7 +13,9 @@ threshold, typically in under ten chain solves and never in more than
 ``ROOT_SLACK`` beyond bisection's count.  As gamma_m <= beta_m < alpha_{m+1},
 both games share one ascent on alpha and beta and solve for gamma once, at
 the m where it stops.  Every chain of a search closes on one
-:class:`~feedbackq.qbd.Ladder` per right-hand side.
+:class:`~feedbackq.qbd.Ladder` per right-hand side, which also holds the
+critical values: a second search on the same ladder, in either game and at
+any reward, closes only its own mixed-root chains.
 """
 
 from __future__ import annotations
@@ -117,17 +119,22 @@ def critical_values(
 
     ``with_gamma=False`` skips the reneging-tagged solve and leaves gamma nan;
     the Nash ascent never reads it and solves for gamma once, where it stops.
-    On one sojourn ``ladder`` both chains reuse the all-joining levels below m.
+    On one sojourn ``ladder`` both chains reuse the all-joining levels below m,
+    and the ladder holds the values closed on it: they do not depend on the
+    reward, so any later call at the ladder's rate point reads them, and
+    closes gamma_m only if no call has yet.
     """
     m = positive_int(m, "m")
     ladder = ladder or Ladder(params)
-    w = sojourn_vector(params, float(m), ladder=ladder)
-    gamma = _gamma(params, m, ladder) if with_gamma else math.nan
-    return CriticalValues(m=m, alpha=w.at(m, m), beta=w.at(m + 1, m + 1), gamma=gamma)
-
-
-def _gamma(params: ModelParams, m: int, ladder: Ladder) -> float:
-    return sojourn_vector_r_tagged(params, float(m), ladder=ladder).at(m + 1, m + 1)
+    ladder.admit(params)
+    cv = ladder.critical.get(m)
+    if cv is None:
+        w = sojourn_vector(params, float(m), ladder=ladder)
+        cv = ladder.critical[m] = CriticalValues(m, w.at(m, m), w.at(m + 1, m + 1), math.nan)
+    if with_gamma and math.isnan(cv.gamma):
+        gamma = sojourn_vector_r_tagged(params, float(m), ladder=ladder).at(m + 1, m + 1)
+        cv = ladder.critical[m] = replace(cv, gamma=gamma)
+    return cv if with_gamma or math.isnan(cv.gamma) else replace(cv, gamma=math.nan)
 
 
 def _brent(objective, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float, int]:
@@ -276,7 +283,7 @@ def _nash(params: ModelParams, reneging: bool, ladder: Ladder) -> EquilibriumRes
             m, cv, nxt = m + 1, nxt, None
             if m > 100_000:  # alpha_m >= m / mu, so this is unreachable
                 raise ConsistencyError("equilibrium search failed to terminate")
-    cv = replace(cv, gamma=_gamma(params, cv.m, ladder))
+    cv = critical_values(params, cv.m, ladder=ladder)
     if m is not None:
         lower = cv.gamma if reneging else cv.beta
         if r0 <= lower:

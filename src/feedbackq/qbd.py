@@ -102,16 +102,25 @@ class QbdBlocks:
 class Ladder:
     """The lower levels that the chains at one rate point share, for one
     right-hand-side layout (``cols``) and the length of one library call.
+    One rate point means equal (lam, mu, q); the reward may differ.
 
     Below n = floor(x) every variant at every threshold has the same
     all-joining levels, hence the same k_j and h_j: one rung each in
     ``joining``, extended on demand.  A rung is ``[(local, up, down), k, h]``;
-    the first solve through it fills k and h.
+    the first solve through it fills k and h.  ``critical`` holds the
+    critical values closed on the ladder, keyed by m
+    (:func:`feedbackq.equilibrium.critical_values`).
     """
 
     params: ModelParams
     joining: list[list] = field(default_factory=list)
     cols: np.ndarray | None = None
+    critical: dict = field(default_factory=dict)
+
+    def admit(self, params: ModelParams) -> None:
+        """Admit only parameters at the ladder's rate point."""
+        if (params.lam, params.mu, params.q) != (self.params.lam, self.params.mu, self.params.q):
+            raise ValueError("the ladder belongs to another rate point")
 
     def hold(self, cols: np.ndarray) -> None:
         """Admit only a right-hand side whose rows match, bit for bit, the ones held."""
@@ -196,8 +205,8 @@ def build_chain(
     top = depth if reneging else 0
     varying = ({depth - 1, depth} if reneging else {depth - 2}) if stacked else ()
     c = _JumpProbs.from_params(params)
-    if ladder is not None and _JumpProbs.from_params(ladder.params) != c:
-        raise ValueError("the ladder belongs to another rate point")
+    if ladder is not None:
+        ladder.admit(params)
 
     def level(j: int, n: int, p: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
         stays = (p, p if variant == VARIANT_RENEGING_ALL else 1.0) if j == top else (1.0, 1.0)

@@ -20,6 +20,7 @@ from feedbackq import (
     total_payoff,
 )
 import feedbackq.equilibrium as equilibrium
+import feedbackq.solver as solver
 from feedbackq.equilibrium import (
     CASE_BALK,
     CASE_INDIFFERENCE,
@@ -543,6 +544,90 @@ class TestMixedRootSearch:
         bare = critical_values(params, 2, with_gamma=False)
         assert (bare.alpha, bare.beta) == (full.alpha, full.beta)
         assert np.isnan(bare.gamma)
+
+
+class TestHeldCriticalValues:
+    """A ladder holds the critical values closed on it: a later search at its
+    rate point reads them and closes only its own mixed-root chains."""
+
+    @staticmethod
+    def count_closes(monkeypatch) -> list:
+        closed = []
+        solve = solver.solve_structured
+
+        def close(blocks, rhs):
+            closed.append(blocks.variant)
+            return solve(blocks, rhs)
+
+        monkeypatch.setattr(solver, "solve_structured", close)
+        return closed
+
+    def test_held_value_serves_one_rate_point(self):
+        params = ModelParams(1.0, 0.8, 0.4)
+        ladder = Ladder(params)
+        held = critical_values(params, 2, ladder=ladder)
+        assert held.alpha == pytest.approx(5.853, abs=5e-4)
+        # the same jump ratios at twice the rates halve every sojourn time
+        scaled = ModelParams(2.0, 1.6, 0.4)
+        assert critical_values(scaled, 2).alpha == pytest.approx(2.927, abs=5e-4)
+        with pytest.raises(ValueError, match="another rate point"):
+            critical_values(scaled, 2, ladder=ladder)
+        with pytest.raises(ValueError, match="another rate point"):
+            critical_values(ModelParams(1.0, 0.8, 0.5), 2, ladder=ladder)
+        # the reward enters no critical value
+        assert critical_values(params.with_r0(7.8), 2, ladder=ladder) is held
+
+    def test_gamma_skipped_after_it_is_held(self, monkeypatch):
+        params = ModelParams(1.0, 0.8, 0.4, 7.8)
+        ladder = Ladder(params)
+        full = critical_values(params, 3, ladder=ladder)
+        closed = self.count_closes(monkeypatch)
+        bare = critical_values(params, 3, with_gamma=False, ladder=ladder)
+        assert (bare.m, bare.alpha, bare.beta) == (full.m, full.alpha, full.beta)
+        assert np.isnan(bare.gamma) and not np.isnan(full.gamma)
+        assert critical_values(params, 3, ladder=ladder) == full
+        assert closed == []
+
+    def test_gamma_filled_on_demand(self, monkeypatch):
+        params = ModelParams(1.0, 0.8, 0.4, 7.8)
+        ladder = Ladder(params)
+        bare = critical_values(params, 3, with_gamma=False, ladder=ladder)
+        closed = self.count_closes(monkeypatch)
+        full = critical_values(params, 3, ladder=ladder)
+        assert closed == ["reneging_tagged"]
+        assert full == critical_values(params, 3)
+        assert (full.alpha, full.beta) == (bare.alpha, bare.beta)
+
+    def test_second_search_closes_only_its_root(self, monkeypatch, rng):
+        draws = [params_of(case) for case in REFERENCE_CASES] + [ModelParams(1.0, 1.0, 0.9, 120.3)]
+        for _ in range(40):
+            base = random_params(rng)
+            draws.append(base.with_r0(rng.uniform(0.3, 10.0) / (base.mu * base.q)))
+        closed = self.count_closes(monkeypatch)
+        for params in draws:
+            ladder = Ladder(params)
+            res_n = nash_n(params, ladder=ladder)
+            closed.clear()
+            res_r = nash_r(params, ladder=ladder)
+            # alpha_{m+1} is new only where the reneging game alone is mixed
+            fresh = res_n.case == CASE_PURE and res_r.case == CASE_MIXED
+            assert len(closed) == res_r.root_evals + fresh
+            closed.clear()
+            assert nash_n(params, ladder=ladder) == res_n
+            assert len(closed) == res_n.root_evals
+
+    def test_searches_on_one_ladder_equal_fresh_ones(self, rng):
+        # either game first, then both again at a second reward, all on one
+        # ladder: every result equals the same search made on its own
+        for i in range(200):
+            base = random_params(rng)
+            rewards = rng.uniform(0.3, 10.0, 2) / (base.mu * base.q)
+            order = (nash_n, nash_r) if i % 2 else (nash_r, nash_n)
+            ladder = Ladder(base)
+            for r0 in rewards:
+                params = base.with_r0(r0)
+                for search in order:
+                    assert search(params, ladder=ladder) == search(params)
 
 
 class TestDeepLadder:
