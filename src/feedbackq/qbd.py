@@ -26,11 +26,14 @@ deficient: the success mass ``mu q / (lam + mu)`` leaves the chain, and in
 the ``reneging_all`` variant the top-level phase-1 row additionally loses
 the renege mass ``mu (1-q)(1-p) / (lam + mu)``.
 
-The blocks are all the structured solver
-(:func:`feedbackq.solver.solve_structured`) reads: it eliminates them level
-by level, from level 1 up, and never assembles the full matrix.  The dense
-assembly used as its oracle lives with the tests.  Chains built on one
-:class:`Ladder` share the blocks and eliminations of their all-joining levels.
+Each level follows one rule (:func:`_level_rates`): five jump rates, from
+which its blocks are expanded.  The structured solver
+(:func:`feedbackq.solver.solve_structured`) eliminates the blocks level by
+level, from level 1 up, and never assembles the full matrix; its residual
+check reads the rates instead, so a fault in expanding them into blocks
+fails the check.  The dense assembly used as the solver's oracle lives with
+the tests.  Chains built on one :class:`Ladder` share the blocks and
+eliminations of their all-joining levels.
 """
 
 from __future__ import annotations
@@ -78,9 +81,14 @@ class QbdBlocks:
     ``local[j-1]`` is the j x j within-level block of level j, ``up[j-1]``
     the j x (j+1) block to level j+1 (absent for the top level), and
     ``down[j-2]`` the j x (j-1) block to level j-1 (absent for level 1).
+    ``rates[j-1]`` holds level j's five jump rates: the balk self-loop, the
+    feedback shift (i, j) -> (i - 1, j), phase 1's feedback to the tail
+    (1, j) -> (j, j), the join (i, j) -> (i, j + 1) and the departure
+    (i, j) -> (i - 1, j - 1); the blocks hold them and nothing else.
     For a stack of k thresholds (``threshold`` a tuple) the blocks of the
-    levels where they differ carry a leading axis of length k.  On a ladder
-    the all-joining levels below floor(x) are its shared ``rungs``.
+    levels where they differ carry a leading axis of length k, and ``rates``
+    has shape (k, depth, 5).  On a ladder the all-joining levels below
+    floor(x) are its shared ``rungs``, and share one row of rates.
     """
 
     variant: str
@@ -89,6 +97,7 @@ class QbdBlocks:
     local: tuple[np.ndarray, ...]
     up: tuple[np.ndarray, ...]
     down: tuple[np.ndarray, ...]
+    rates: np.ndarray
     stack: tuple[int, ...] = ()  # leading shape of a solution: (k,) for k thresholds
     ladder: Ladder | None = None
     rungs: tuple[list, ...] = ()  # the ladder's rungs of levels 1, 2, ...
@@ -131,44 +140,57 @@ class Ladder:
             self.cols = cols.copy()
 
 
-def _local_block(
-    j: int, n: int, p: float, c: _JumpProbs, stay: float = 1.0, tagged_stay: float = 1.0
-) -> np.ndarray:
-    """Within-level block of level j.
+def _level_rates(
+    j: int, n: int, p: float, c: _JumpProbs, top: int, tagged_reneges: bool
+) -> tuple[float, float, float, float, float]:
+    """The five jump rates of level j, in the order of ``QbdBlocks.rates``.
 
-    Phase 1 holds the tagged customer in service: a failed service sends her
-    to the tail, phase j of the same level, if she stays (``tagged_stay``).
-    In other phases a failed service of the customer ahead moves the tagged
-    customer up one position if that customer stays (``stay``).  An arrival
-    keeps the level only if the newcomer balks (always above level n, with
-    probability 1 - p at level n).
+    An arrival keeps the level only if the newcomer balks (always above
+    level n, with probability 1 - p at level n), and otherwise joins.  In
+    phases other than 1 a failed service of the customer ahead moves the
+    tagged customer up one position; in phase 1 the tagged customer is in
+    service, and a failed service sends her to the tail, phase j of the same
+    level.  At the ``top`` level of a reneging chain the customer ahead stays
+    only with probability p, and so does the tagged one if she
+    ``tagged_reneges``; a leaver departs like a completed service.
     """
+    stay = p if j == top else 1.0
+    balk = c.arr * (1.0 - p) if j == n else c.arr if j > n else 0.0
+    join = c.arr if j < n else c.arr * p if j == n else 0.0
+    tail = c.fb * (stay if tagged_reneges else 1.0)
+    return balk, c.fb * stay, tail, join, c.dn + c.fb * (1.0 - stay)
+
+
+def _local_block(j: int, rates: tuple[float, ...]) -> np.ndarray:
+    """Within-level block of level j: the balk self-loops on the diagonal,
+    the feedback shifts (i, i - 1) below it, and phase 1's feedback to the
+    tail in the top-right corner."""
+    balk, shift, tail = rates[:3]
     m = np.zeros((j, j))
     flat = m.reshape(-1)  # a view: strided slices pick the diagonals
-    flat[j - 1] += c.fb * tagged_stay
-    flat[j :: j + 1] += c.fb * stay  # entries (i, i - 1)
-    if j >= n:
-        flat[:: j + 1] += c.arr * (1.0 - p) if j == n else c.arr
+    flat[j - 1] = tail
+    flat[j :: j + 1] = shift  # entries (i, i - 1)
+    if balk:
+        flat[:: j + 1] += balk
     return m
 
 
-def _up_block(j: int, n: int, p: float, c: _JumpProbs) -> np.ndarray:
+def _up_block(j: int, rates: tuple[float, ...]) -> np.ndarray:
     """Arrival-joins block: positions are unchanged, the level grows by one."""
     m = np.zeros((j, j + 1))
-    rate = c.arr if j < n else c.arr * p if j == n else 0.0
-    if rate:
-        m.reshape(-1)[:: j + 2] = rate  # entries (i, i)
+    if rates[3]:
+        m.reshape(-1)[:: j + 2] = rates[3]  # entries (i, i)
     return m
 
 
-def _down_block(j: int, rate: float) -> np.ndarray:
+def _down_block(j: int, rates: tuple[float, ...]) -> np.ndarray:
     """Departure block: someone ahead leaves, so position and level drop by one.
 
     The first row is zero because a phase-1 departure is the tagged customer
     herself leaving the chain.
     """
     m = np.zeros((j, j - 1))
-    m.reshape(-1)[j - 1 :: j] = rate  # entries (i, i - 1)
+    m.reshape(-1)[j - 1 :: j] = rates[4]  # entries (i, i - 1)
     return m
 
 
@@ -205,19 +227,17 @@ def build_chain(
     top = depth if reneging else 0
     varying = ({depth - 1, depth} if reneging else {depth - 2}) if stacked else ()
     c = _JumpProbs.from_params(params)
+    tagged_reneges = variant == VARIANT_RENEGING_ALL
     if ladder is not None:
         ladder.admit(params)
 
-    def level(j: int, n: int, p: float) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
-        stays = (p, p if variant == VARIANT_RENEGING_ALL else 1.0) if j == top else (1.0, 1.0)
-        local = _local_block(j, n, p, c, *stays)
-        up = _up_block(j, n, p, c) if j < depth else None
-        down = _down_block(j, c.dn + c.fb * (1.0 - p) if j == top else c.dn) if j > 1 else None
-        return local, up, down
+    def level(j: int, row: tuple[float, ...]) -> tuple[np.ndarray, ...]:
+        up = _up_block(j, row) if j < depth else None
+        return _local_block(j, row), up, _down_block(j, row) if j > 1 else None
 
     def stacked_level(j: int) -> list[np.ndarray | None]:
-        each = zip(*(level(j, *branch_parts(th)) for th in ths))
-        return [None if blocks[0] is None else np.stack(blocks) for blocks in each]
+        blocks = zip(*(level(j, own[j]) for own in each))
+        return [None if b[0] is None else np.stack(b) for b in blocks]
 
     n, p = branch_parts(ths[0])
     shared = []  # the ladder's rungs of levels 1, 2, ...
@@ -225,14 +245,27 @@ def build_chain(
         if j in varying:
             break
         if j > len(ladder.joining):
-            ladder.joining.append([level(j, n, p), None, None])
+            row = _level_rates(j, n, p, c, top, tagged_reneges)
+            ladder.joining.append([level(j, row), None, None])
         shared.append(ladder.joining[j - 1])
-    local, up, down = zip(*[r[0] for r in shared], *(
-        stacked_level(j) if j in varying else level(j, n, p)
-        for j in range(len(shared) + 1, depth + 1)
-    ))
+    above = range(len(shared) + 1, depth + 1)
+    rows = [_level_rates(j, n, p, c, top, tagged_reneges) for j in above]
+    if stacked:
+        each = [
+            {j: _level_rates(j, *branch_parts(th), c, top, tagged_reneges) for j in varying}
+            for th in ths
+        ]
+    blocks = [r[0] for r in shared] + [
+        stacked_level(j) if j in varying else level(j, row) for j, row in zip(above, rows)
+    ]
+    if shared:  # every level below n joins alike
+        rows = [_level_rates(1, n, p, c, top, tagged_reneges)] * len(shared) + rows
+    if stacked:
+        rows = [[own.get(j, row) for j, row in enumerate(rows, 1)] for own in each]
+    local, up, down = zip(*blocks)
     th, stack = (ths, (len(ths),)) if stacked else (ths[0], ())
-    return QbdBlocks(variant, depth, th, local, up[:-1], down[1:], stack, ladder, tuple(shared))
+    rates = np.array(rows)
+    return QbdBlocks(variant, depth, th, local, up[:-1], down[1:], rates, stack, ladder, tuple(shared))
 
 
 def build_rhs_payoff(params: ModelParams, depth: int) -> np.ndarray:

@@ -7,15 +7,22 @@ level 1 upward, then back-substitution, for any number of right-hand-side
 columns and for a stack of thresholds that share a chain depth.  A chain
 built on a :class:`~feedbackq.qbd.Ladder` starts its elimination above the
 rungs already eliminated; every chain is back-substituted in full, and every
-column must meet ``RESIDUAL_TOL``.  The tests cross-check the solver against
-a dense elimination oracle (``tests/dense_oracle.py``) and a truncated series
-of ``sum_d P^d b``.
+column must meet ``RESIDUAL_TOL``.  :func:`residual_norm` checks a solve in a
+fixed number of array operations whatever the depth: it reads each state's
+five neighbours through one read-only stencil table, shared by every chain,
+and weights them by the level rates (``QbdBlocks.rates``) rather than by the
+blocks the elimination used.  The tests cross-check the solver against a
+dense elimination oracle (``tests/dense_oracle.py``) and a truncated series
+of ``sum_d P^d b``, and the residual against its blockwise form
+(``tests/residual_oracle.py``).
 """
 
 from __future__ import annotations
 
+import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
+from functools import partial
 from itertools import groupby
 
 import numpy as np
@@ -27,6 +34,7 @@ from .model import (
     branch_parts,
     chain_depth,
     level_offset,
+    num_states,
     state_index,
 )
 from .qbd import (
@@ -114,6 +122,7 @@ def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], l
     a ladder's rung is eliminated once."""
     depth = blocks.depth
     width = cols.shape[1]
+    mul = np.matmul if width == 1 else partial(_per_column, np.matmul)
     rungs = blocks.rungs
     if rungs:
         blocks.ladder.hold(cols)
@@ -127,7 +136,7 @@ def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], l
         if j > 1:
             d = blocks.down[j - 2]
             s = s - d @ ks[-1]
-            c = c + _per_column(np.matmul, d, hs[-1])
+            c = c + mul(d, hs[-1])
         try:
             if j < depth:
                 kh = np.linalg.solve(s, _join(blocks.up[j - 1], c))
@@ -165,36 +174,79 @@ def solve_structured(blocks: QbdBlocks, rhs: np.ndarray) -> np.ndarray:
         raise ValueError(f"rhs must have {blocks.num_states} rows, got shape {b.shape}")
     cols = b.reshape(blocks.num_states, -1)
     ks, hs = _eliminate(blocks, cols)
+    mul = np.matmul if cols.shape[1] == 1 else partial(_per_column, np.matmul)
     v = np.empty(blocks.stack + cols.shape)
     h = hs[-1]
+    o = blocks.num_states
     for j in range(depth, 0, -1):
+        o -= j
         if j < depth:
-            h = hs[j - 1] + _per_column(np.matmul, ks[j - 1], h)
-        v[..., level_offset(j) : level_offset(j) + j, :] = h
+            h = hs[j - 1] + mul(ks[j - 1], h)
+        v[..., o : o + j, :] = h
     v = v.reshape(blocks.stack + b.shape)
     _check_residual(blocks, v, b)
     return v
 
 
+#: Read-only neighbour table of the deepest chain checked so far, one column
+#: per state.  Rows 0-4 name the state itself, its feedback-shift source,
+#: its level's last state, the state above and the state below (the order of
+#: ``QbdBlocks.rates``); row 5 is its level's index.  A neighbour that the
+#: state's row of P cannot reach is past every chain, where a clipped read
+#: finds the zero appended to v.  A depth-d chain reads the first d(d+1)/2
+#: columns; a deeper chain swaps in a larger table, under ``_stencil_lock``,
+#: and never writes to the one in use, so threads may share it.
+_stencil = np.empty((6, 0), dtype=np.intp)
+_stencil_lock = threading.Lock()
+_FAR = np.iinfo(np.intp).max
+_TINY = np.finfo(float).tiny
+
+
+def _stencil_columns(depth: int) -> np.ndarray:
+    """The first ``num_states(depth)`` columns of the table, grown to the
+    depth if it is shallower."""
+    global _stencil
+    size = num_states(depth)
+    table = _stencil
+    if table.shape[1] < size:
+        with _stencil_lock:  # a table only grows
+            table = _stencil
+            if table.shape[1] < size:
+                level = np.repeat(np.arange(depth), np.arange(1, depth + 1))
+                s = np.arange(size)
+                first = s == level * (level + 1) // 2
+                table = np.stack((
+                    s,
+                    np.where(first, _FAR, s - 1),
+                    np.where(first, s + level, _FAR),
+                    s + level + 1,
+                    np.where(first, _FAR, s - level - 1),
+                    level,
+                ))
+                table.flags.writeable = False
+                _stencil = table
+    return table[:, :size]
+
+
 def residual_norm(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> float | np.ndarray:
-    """Relative infinity norm of (I - P) v - rhs, evaluated blockwise; for
-    several columns, the largest column's; for a stack, one per chain."""
-    depth = blocks.depth
+    """Relative infinity norm of (I - P) v - rhs; for several columns, the
+    largest column's; for a stack, one per chain.
+
+    A row of P holds at most five nonzeros, its level's jump rates
+    (``blocks.rates``), so (I - P) v is read off five neighbours per state in
+    one gather, whatever the depth.  The terms are summed as the blocks group
+    them, (v - L v - b) - U v - D v: from lam/mu of about 1e3 on, the measure
+    sits at its rounding floor of about eps * lam / mu, where a verdict can
+    follow the order of summation.
+    """
     cols = np.reshape(rhs, (len(rhs), -1))
     v = np.reshape(v, blocks.stack + cols.shape)
-    r = np.empty_like(v)
-    for j in range(1, depth + 1):
-        o = level_offset(j)
-        seg = v[..., o : o + j, :]
-        acc = seg - blocks.local[j - 1] @ seg - cols[o : o + j]
-        if j < depth:
-            on = level_offset(j + 1)
-            acc -= blocks.up[j - 1] @ v[..., on : on + j + 1, :]
-        if j > 1:
-            od = level_offset(j - 1)
-            acc -= blocks.down[j - 2] @ v[..., od : od + j - 1, :]
-        r[..., o : o + j, :] = acc
-    scale = np.maximum(np.abs(cols).max(axis=0), np.finfo(float).tiny)
+    table = _stencil_columns(blocks.depth)
+    padded = np.concatenate((v, np.zeros(blocks.stack + (1, cols.shape[1]))), axis=-2)
+    near = np.take(padded, table[:5], axis=-2, mode="clip")
+    terms = np.take(blocks.rates.swapaxes(-1, -2), table[5], axis=-1)[..., None] * near
+    r = v - terms[..., :3, :, :].sum(axis=-3) - cols - terms[..., 3, :, :] - terms[..., 4, :, :]
+    scale = np.maximum(np.abs(cols).max(axis=0), _TINY)
     res = (np.abs(r).max(axis=-2) / scale).max(axis=-1)
     return res if blocks.stack else float(res)
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from feedbackq import (
+    Ladder,
     ModelParams,
     build_chain,
     build_rhs_payoff,
@@ -204,6 +205,41 @@ class TestStructure:
             after = np.max(np.abs(v))
             assert 0.0 < after < before
             assert after / before < 1.0 - 1e-9
+
+
+class TestRates:
+    """Each level's five jump rates, from which its blocks are expanded."""
+
+    def test_blocks_hold_the_rates_and_nothing_else(self, rng):
+        for _ in range(20):
+            params = random_params(rng)
+            x = rng.uniform(0.0, 9.0)
+            for variant in ("nonreneging", "reneging_tagged", "reneging_all"):
+                blocks = build_chain(params, x, variant)
+                assert blocks.rates.shape == (blocks.depth, 5)
+                for j, (balk, shift, tail, join, dep) in enumerate(blocks.rates, start=1):
+                    local = np.diag(np.full(j, balk)) + np.diag(np.full(j - 1, shift), -1)
+                    local[0, -1] += tail
+                    np.testing.assert_array_equal(blocks.local[j - 1], local)
+                    if j < blocks.depth:
+                        np.testing.assert_array_equal(blocks.up[j - 1], np.eye(j, j + 1) * join)
+                    if j > 1:
+                        np.testing.assert_array_equal(blocks.down[j - 2], np.eye(j, j - 1, -1) * dep)
+
+    def test_stacks_and_rungs_keep_each_chains_rates(self):
+        params = ModelParams(1.0, 0.8, 0.4)
+        ladder = Ladder(params)
+        for variant, xs in (("nonreneging", [5.5, 6.0, 5.25]), ("reneging_all", [6.0, 6.5, 6.75])):
+            singles = [build_chain(params, x, variant).rates for x in xs]
+            assert build_chain(params, xs, variant).rates.shape == (3, 7, 5)
+            np.testing.assert_array_equal(build_chain(params, xs, variant, ladder).rates, singles)
+            for x, rates in zip(xs, singles):
+                on_ladder = build_chain(params, x, variant, ladder)
+                np.testing.assert_array_equal(on_ladder.rates, rates)
+                # every rung level has the joining row: no balking, no reneging
+                rungs = on_ladder.rates[: len(on_ladder.rungs)]
+                assert len(rungs) == int(x) - 1 and np.all(rungs == rungs[0])
+                assert rungs[0, 0] == 0.0 and rungs[0, 1] == rungs[0, 2]
 
 
 class TestPayoffRhs:

@@ -1,3 +1,6 @@
+import sys
+import threading
+
 import numpy as np
 import pytest
 
@@ -18,11 +21,13 @@ from feedbackq import (
     sojourn_vector_r_tagged,
     solve_structured,
 )
-from feedbackq.model import chain_depth, level_offset
+from feedbackq import qbd, solver
+from feedbackq.model import chain_depth, level_offset, num_states
 from feedbackq.solver import RESIDUAL_TOL, _check_residual, _eliminate, payoff_vectors
 
 from conftest import REFERENCE_CASES, params_of, random_params
 from dense_oracle import assemble_full, solve_dense
+from residual_oracle import residual_norm_blockwise
 
 
 def all_builders(params, x):
@@ -556,3 +561,124 @@ class TestLadder:
         np.testing.assert_array_equal(
             sojourn_vector(other, 6.5, ladder=ladder).values, sojourn_vector(other, 6.5).values
         )
+
+
+class TestStencilResidual:
+    """``residual_norm`` reads each state's jump rates through one stencil;
+    the blockwise residual in ``tests/residual_oracle.py`` is its oracle."""
+
+    def test_agrees_with_the_blockwise_residual(self, rng):
+        # solved and random vectors, one and two columns, single chains and stacks
+        for _ in range(400):
+            params = random_params(rng, r0_span=(0.0, 20.0))
+            x = float(rng.uniform(0.0, 14.0))
+            for variant in VARIANTS:
+                reneging = variant != "nonreneging"
+                depth = chain_depth(qbd.as_threshold(x), reneging)
+                pair = layout_rhs(params, "pair", depth)
+                stacks = [x] + ([stack_of_depth(rng, reneging, depth, 2)] if depth > 1 else [])
+                for th in stacks:
+                    blocks = build_chain(params, th, variant)
+                    v = solve_structured(blocks, pair)
+                    noise = rng.uniform(-1.0, 1.0, v.shape)
+                    for u, rhs in ((v, pair), (v[..., 0], pair[:, 0]), (noise, pair)):
+                        got, want = residual_norm(blocks, u, rhs), residual_norm_blockwise(blocks, u, rhs)
+                        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    def test_an_expansion_fault_fails_the_solve(self, monkeypatch):
+        # the check reads the level rates, not the blocks the solve used, so
+        # a fault in expanding the rates into blocks no longer passes
+        def shifted(j, rates):
+            m = np.zeros((j, j))
+            flat = m.reshape(-1)
+            flat[j - 1] += rates[2]
+            flat[j :: j] += rates[1]  # stride j, not j + 1: off the sub-diagonal from level 3
+            if rates[0]:
+                flat[:: j + 1] += rates[0]
+            return m
+
+        params = ModelParams(1.0, 0.8, 0.4, 7.8)
+        monkeypatch.setattr(qbd, "_local_block", shifted)
+        for variant in VARIANTS:
+            blocks = build_chain(params, 4.5, variant)
+            rhs = build_rhs_sojourn(params, blocks.depth)
+            with pytest.raises(ConsistencyError, match="residual"):
+                solve_structured(blocks, rhs)
+        # levels 1 and 2 expand correctly under the shifted stride
+        solve_structured(build_chain(params, 1.0, "nonreneging"), build_rhs_sojourn(params, 2))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_a_nonfinite_value_fails_the_check(self, bad):
+        params = ModelParams(1.0, 0.8, 0.4, 7.8)
+        for th in (3.5, [3.25, 3.5]):
+            blocks = build_chain(params, th, "reneging_tagged")
+            rhs = layout_rhs(params, "pair", blocks.depth)
+            v = solve_structured(blocks, rhs)
+            for k in (0, 4, blocks.num_states - 1):
+                u = v.copy()
+                u[..., k, 1] = bad
+                with np.errstate(invalid="ignore"), pytest.raises(ConsistencyError, match="residual"):
+                    _check_residual(blocks, u, rhs)
+
+    def test_one_table_grows_to_the_deepest_chain(self, monkeypatch):
+        monkeypatch.setattr(solver, "_stencil", np.empty((6, 0), dtype=np.intp))
+        params = ModelParams(0.9, 1.0, 0.6)
+        chains = [build_chain(params, x, "reneging_tagged") for x in (119.5, 5.5)]
+        assert [b.depth for b in chains] == [120, 6]
+        rhs = [build_rhs_sojourn(params, b.depth) for b in chains]
+        vs = [solve_structured(b, r) for b, r in zip(chains, rhs)]
+        table = solver._stencil
+        assert table.shape == (6, num_states(120)) and not table.flags.writeable
+        grown = [residual_norm(b, v, r) for b, v, r in zip(chains, vs, rhs)]
+        assert solver._stencil is table
+        for b, v, r, res in zip(chains, vs, rhs, grown):
+            monkeypatch.setattr(solver, "_stencil", np.empty((6, 0), dtype=np.intp))
+            assert residual_norm(b, v, r) == res
+            assert solver._stencil.shape == (6, num_states(b.depth))
+
+    def test_threads_growing_the_table_keep_their_answers(self, monkeypatch):
+        # more threads than cores close chains of rising and falling depth while
+        # the table grows under them; every residual equals a one-thread one
+        params = ModelParams(0.9, 1.0, 0.6)
+        xs = [0.5 + (7 * k) % 41 for k in range(24)]
+        chains = [build_chain(params, x, "reneging_all") for x in xs]
+        rhs = [build_rhs_sojourn(params, b.depth) for b in chains]
+        vs = [solve_structured(b, r) for b, r in zip(chains, rhs)]
+        want = [residual_norm(b, v, r) for b, v, r in zip(chains, vs, rhs)]
+        monkeypatch.setattr(solver, "_stencil", np.empty((6, 0), dtype=np.intp))
+        got = [[] for _ in range(6)]
+
+        def work(out, offset):
+            for k in range(len(chains)):
+                i = (k + offset) % len(chains)
+                out.append((i, residual_norm(chains[i], vs[i], rhs[i])))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(out, 4 * t)) for t, out in enumerate(got)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        for out in got:
+            assert len(out) == len(chains) and all(res == want[i] for i, res in out)
+        assert solver._stencil.shape == (6, num_states(max(b.depth for b in chains)))
+
+    def test_verdicts_match_the_blockwise_ones_below_ratio_1e3(self, rng, monkeypatch):
+        # at larger lam/mu the measure sits at its rounding floor, about
+        # eps * lam / mu, and a verdict there may follow the order of summation
+        monkeypatch.setattr(solver, "_check_residual", lambda *args: None)
+        for _ in range(300):
+            mu, q = rng.uniform(0.2, 2.0), rng.uniform(0.05, 1.0)
+            params = ModelParams(mu * 10.0 ** rng.uniform(-3.0, 3.0), mu, q, rng.uniform(1.0, 60.0) / (mu * q))
+            x = float(rng.uniform(0.5, 40.0))
+            for variant, layout in zip(VARIANTS, ("sojourn", "pair", "payoff")):
+                blocks = build_chain(params, x, variant)
+                rhs = layout_rhs(params, layout, blocks.depth)
+                v = solve_structured(blocks, rhs)
+                got, want = residual_norm(blocks, v, rhs), residual_norm_blockwise(blocks, v, rhs)
+                assert (got <= RESIDUAL_TOL) == (want <= RESIDUAL_TOL), (params, x, variant, got, want)
