@@ -22,6 +22,7 @@ from . import __version__
 from .analytics import renege_probability, stationary_threshold
 from .equilibrium import (
     CASE_MIXED,
+    ROOT_TOL,
     EquilibriumResult,
     ess_check,
     nash_n,
@@ -39,7 +40,6 @@ from .solver import (
     payoff_vector_r_tagged,
     sojourn_vector,
 )
-from .equilibrium import ROOT_TOL
 from .welfare import curve_to_csv, is_unimodal, welfare_curve
 
 _TOLERANCES = {"residual": RESIDUAL_TOL, "root": ROOT_TOL}

@@ -1,4 +1,4 @@
-"""Level-dependent QBD transition blocks for the threshold queueing chains.
+"""Level-dependent QBD chains of the threshold queue, stored as per-level jump rates.
 
 One builder, :func:`build_chain`, makes the three embedded-chain variants
 on the triangular state space of :mod:`feedbackq.model`.  Levels up to
@@ -26,14 +26,15 @@ deficient: the success mass ``mu q / (lam + mu)`` leaves the chain, and in
 the ``reneging_all`` variant the top-level phase-1 row additionally loses
 the renege mass ``mu (1-q)(1-p) / (lam + mu)``.
 
-Each level follows one rule (:func:`_level_rates`): five jump rates, from
-which its blocks are expanded.  The structured solver
-(:func:`feedbackq.solver.solve_structured`) eliminates the blocks level by
-level, from level 1 up, and never assembles the full matrix; its residual
-check reads the rates instead, so a fault in expanding them into blocks
-fails the check.  The dense assembly used as the solver's oracle lives with
-the tests.  Chains built on one :class:`Ladder` share the blocks and
-eliminations of their all-joining levels.
+Each level follows one rule (:func:`_level_rates`): five jump rates, and
+``QbdBlocks.rates`` holds them, the chain's only stored form.  The
+structured solver (:func:`feedbackq.solver.solve_structured`) eliminates the
+levels one by one, from level 1 up, expanding each level's blocks from its
+rates only when it reaches it, and never assembles the full matrix; its
+residual check reads the rates directly, so a fault in that expansion fails
+the check.  The dense assembly used as the solver's oracle lives with the
+tests.  Chains built on one :class:`Ladder` share the eliminations of their
+all-joining levels.
 """
 
 from __future__ import annotations
@@ -59,44 +60,25 @@ VARIANT_RENEGING_ALL = "reneging_all"
 
 
 @dataclass(frozen=True, slots=True)
-class _JumpProbs:
-    arr: float  # an arrival wins the race
-    dn: float   # a service completes and the customer departs
-    fb: float   # a service completes but fails; the customer may rejoin
-
-    @classmethod
-    def from_params(cls, params: ModelParams) -> _JumpProbs:
-        denom = params.lam + params.mu
-        return cls(
-            arr=params.lam / denom,
-            dn=params.mu * params.q / denom,
-            fb=params.mu * (1.0 - params.q) / denom,
-        )
-
-
-@dataclass(frozen=True, slots=True)
 class QbdBlocks:
-    """Per-level transition blocks of one chain variant.
+    """One chain variant, stored as its levels' jump rates.
 
-    ``local[j-1]`` is the j x j within-level block of level j, ``up[j-1]``
-    the j x (j+1) block to level j+1 (absent for the top level), and
-    ``down[j-2]`` the j x (j-1) block to level j-1 (absent for level 1).
     ``rates[j-1]`` holds level j's five jump rates: the balk self-loop, the
     feedback shift (i, j) -> (i - 1, j), phase 1's feedback to the tail
     (1, j) -> (j, j), the join (i, j) -> (i, j + 1) and the departure
-    (i, j) -> (i - 1, j - 1); the blocks hold them and nothing else.
-    For a stack of k thresholds (``threshold`` a tuple) the blocks of the
-    levels where they differ carry a leading axis of length k, and ``rates``
-    has shape (k, depth, 5).  On a ladder the all-joining levels below
-    floor(x) are its shared ``rungs``, and share one row of rates.
+    (i, j) -> (i - 1, j - 1).  They fill the within-level block L_j (the
+    first three), the block U_j to level j + 1 (the joins on its diagonal)
+    and the block D_j to level j - 1 (the departures on its sub-diagonal),
+    and nothing else; the solver expands them level by level.  For a stack
+    of k thresholds (``threshold`` a tuple) ``rates`` has shape
+    (k, depth, 5); the rows differ only from :func:`_stacked_from` up.  On a
+    ladder the all-joining levels below floor(x) are its shared ``rungs``,
+    and share one row of rates.
     """
 
     variant: str
     depth: int
     threshold: Threshold | tuple[Threshold, ...]
-    local: tuple[np.ndarray, ...]
-    up: tuple[np.ndarray, ...]
-    down: tuple[np.ndarray, ...]
     rates: np.ndarray
     stack: tuple[int, ...] = ()  # leading shape of a solution: (k,) for k thresholds
     ladder: Ladder | None = None
@@ -115,10 +97,9 @@ class Ladder:
 
     Below n = floor(x) every variant at every threshold has the same
     all-joining levels, hence the same k_j and h_j: one rung each in
-    ``joining``, extended on demand.  A rung is ``[(local, up, down), k, h]``;
-    the first solve through it fills k and h.  ``critical`` holds the
-    critical values closed on the ladder, keyed by m
-    (:func:`feedbackq.equilibrium.critical_values`).
+    ``joining``, extended on demand.  A rung is ``[k, h]``; the first solve
+    through it fills both.  ``critical`` holds the critical values closed on
+    the ladder, keyed by m (:func:`feedbackq.equilibrium.critical_values`).
     """
 
     params: ModelParams
@@ -140,58 +121,36 @@ class Ladder:
             self.cols = cols.copy()
 
 
+def _stacked_from(variant: str, depth: int) -> int:
+    """The first level of a depth's chains that the fractional part p
+    touches, from which a stack's rates differ: ``depth - 2`` without
+    reneging (an integer x = k reads as n = k - 1, p = 1 there, which gives
+    the same rates), ``depth - 1`` with it."""
+    return depth - (2 if variant == VARIANT_NONRENEGING else 1)
+
+
 def _level_rates(
-    j: int, n: int, p: float, c: _JumpProbs, top: int, tagged_reneges: bool
+    j: int, n: int, p: float, jumps: tuple[float, float, float], top: int, tagged_reneges: bool
 ) -> tuple[float, float, float, float, float]:
     """The five jump rates of level j, in the order of ``QbdBlocks.rates``.
 
-    An arrival keeps the level only if the newcomer balks (always above
-    level n, with probability 1 - p at level n), and otherwise joins.  In
-    phases other than 1 a failed service of the customer ahead moves the
+    ``jumps`` are the chances that an arrival wins the race, that a service
+    completes and the customer departs, and that it fails and she may
+    rejoin.  An arrival keeps the level only if the newcomer balks (always
+    above level n, with probability 1 - p at level n), and otherwise joins.
+    In phases other than 1 a failed service of the customer ahead moves the
     tagged customer up one position; in phase 1 the tagged customer is in
     service, and a failed service sends her to the tail, phase j of the same
     level.  At the ``top`` level of a reneging chain the customer ahead stays
     only with probability p, and so does the tagged one if she
     ``tagged_reneges``; a leaver departs like a completed service.
     """
+    arr, dn, fb = jumps
     stay = p if j == top else 1.0
-    balk = c.arr * (1.0 - p) if j == n else c.arr if j > n else 0.0
-    join = c.arr if j < n else c.arr * p if j == n else 0.0
-    tail = c.fb * (stay if tagged_reneges else 1.0)
-    return balk, c.fb * stay, tail, join, c.dn + c.fb * (1.0 - stay)
-
-
-def _local_block(j: int, rates: tuple[float, ...]) -> np.ndarray:
-    """Within-level block of level j: the balk self-loops on the diagonal,
-    the feedback shifts (i, i - 1) below it, and phase 1's feedback to the
-    tail in the top-right corner."""
-    balk, shift, tail = rates[:3]
-    m = np.zeros((j, j))
-    flat = m.reshape(-1)  # a view: strided slices pick the diagonals
-    flat[j - 1] = tail
-    flat[j :: j + 1] = shift  # entries (i, i - 1)
-    if balk:
-        flat[:: j + 1] += balk
-    return m
-
-
-def _up_block(j: int, rates: tuple[float, ...]) -> np.ndarray:
-    """Arrival-joins block: positions are unchanged, the level grows by one."""
-    m = np.zeros((j, j + 1))
-    if rates[3]:
-        m.reshape(-1)[:: j + 2] = rates[3]  # entries (i, i)
-    return m
-
-
-def _down_block(j: int, rates: tuple[float, ...]) -> np.ndarray:
-    """Departure block: someone ahead leaves, so position and level drop by one.
-
-    The first row is zero because a phase-1 departure is the tagged customer
-    herself leaving the chain.
-    """
-    m = np.zeros((j, j - 1))
-    m.reshape(-1)[j - 1 :: j] = rates[4]  # entries (i, i - 1)
-    return m
+    balk = arr * (1.0 - p) if j == n else arr if j > n else 0.0
+    join = arr if j < n else arr * p if j == n else 0.0
+    tail = fb * (stay if tagged_reneges else 1.0)
+    return balk, fb * stay, tail, join, dn + fb * (1.0 - stay)
 
 
 def build_chain(
@@ -200,21 +159,17 @@ def build_chain(
     variant: str,
     ladder: Ladder | None = None,
 ) -> QbdBlocks:
-    """Blocks of one chain variant at threshold x, or at a stack of thresholds
-    that share one chain depth.
+    """Jump rates of one chain variant at threshold x, or at a stack of
+    thresholds that share one chain depth.
 
     At the top level of a reneging chain a failed customer ahead of the
     tagged one rejoins only with probability p, the fractional part of x
     (zero for an integer x), and otherwise departs; the tagged customer does
     so too in ``reneging_all`` and always rejoins in ``reneging_tagged``.
 
-    Chains of one depth differ only at the levels p touches: level
-    ``depth - 2`` without reneging (an integer x = k reads as n = k - 1,
-    p = 1 there, which gives the same blocks), the top two levels with it.
-    For a sequence of thresholds those levels' blocks carry a leading stack
-    axis, one entry per threshold; every other level keeps one 2-D block.
-    On a ``ladder`` the all-joining levels below n and below the stack axis
-    are its rungs.
+    Chains of one depth differ only at the levels p touches
+    (:func:`_stacked_from`); a stack's rows differ from there up.  On a
+    ``ladder`` the all-joining levels below n and below those are its rungs.
     """
     if variant not in (VARIANT_NONRENEGING, VARIANT_RENEGING_TAGGED, VARIANT_RENEGING_ALL):
         raise ValueError(f"unknown chain variant {variant!r}")
@@ -224,48 +179,26 @@ def build_chain(
     depth = chain_depth(ths[0], reneging) if ths else 0
     if not ths or stacked and any(chain_depth(th, reneging) != depth for th in ths):
         raise ValueError(f"a threshold stack needs thresholds of one chain depth, got {threshold!r}")
+    denom = params.lam + params.mu
+    jumps = params.lam / denom, params.mu * params.q / denom, params.mu * (1.0 - params.q) / denom
     top = depth if reneging else 0
-    varying = ({depth - 1, depth} if reneging else {depth - 2}) if stacked else ()
-    c = _JumpProbs.from_params(params)
     tagged_reneges = variant == VARIANT_RENEGING_ALL
+
+    def rows(th: Threshold) -> list[tuple[float, ...]]:
+        n, p = branch_parts(th)
+        own = [_level_rates(j, n, p, jumps, top, tagged_reneges) for j in range(max(n - 1, 1), depth + 1)]
+        return own[:1] * (n - 2) + own  # every level below n joins alike
+
+    rungs = ()
     if ladder is not None:
         ladder.admit(params)
-
-    def level(j: int, row: tuple[float, ...]) -> tuple[np.ndarray, ...]:
-        up = _up_block(j, row) if j < depth else None
-        return _local_block(j, row), up, _down_block(j, row) if j > 1 else None
-
-    def stacked_level(j: int) -> list[np.ndarray | None]:
-        blocks = zip(*(level(j, own[j]) for own in each))
-        return [None if b[0] is None else np.stack(b) for b in blocks]
-
-    n, p = branch_parts(ths[0])
-    shared = []  # the ladder's rungs of levels 1, 2, ...
-    for j in range(1, n if ladder is not None else 1):
-        if j in varying:
-            break
-        if j > len(ladder.joining):
-            row = _level_rates(j, n, p, c, top, tagged_reneges)
-            ladder.joining.append([level(j, row), None, None])
-        shared.append(ladder.joining[j - 1])
-    above = range(len(shared) + 1, depth + 1)
-    rows = [_level_rates(j, n, p, c, top, tagged_reneges) for j in above]
-    if stacked:
-        each = [
-            {j: _level_rates(j, *branch_parts(th), c, top, tagged_reneges) for j in varying}
-            for th in ths
-        ]
-    blocks = [r[0] for r in shared] + [
-        stacked_level(j) if j in varying else level(j, row) for j, row in zip(above, rows)
-    ]
-    if shared:  # every level below n joins alike
-        rows = [_level_rates(1, n, p, c, top, tagged_reneges)] * len(shared) + rows
-    if stacked:
-        rows = [[own.get(j, row) for j, row in enumerate(rows, 1)] for own in each]
-    local, up, down = zip(*blocks)
+        n = branch_parts(ths[0])[0]
+        shared = max(min(n, _stacked_from(variant, depth)) if stacked else n, 1) - 1
+        ladder.joining.extend([None, None] for _ in range(len(ladder.joining), shared))
+        rungs = tuple(ladder.joining[:shared])
     th, stack = (ths, (len(ths),)) if stacked else (ths[0], ())
-    rates = np.array(rows)
-    return QbdBlocks(variant, depth, th, local, up[:-1], down[1:], rates, stack, ladder, tuple(shared))
+    rates = np.array([rows(t) for t in ths] if stacked else rows(ths[0]))
+    return QbdBlocks(variant, depth, th, rates, stack, ladder, rungs)
 
 
 def build_rhs_payoff(params: ModelParams, depth: int) -> np.ndarray:

@@ -4,17 +4,20 @@ the sojourn and payoff vectors built on it.
 :func:`solve_structured` is the linear level reduction for level-dependent
 QBDs (Gaver, Jacobs & Latouche 1984): one forward block elimination from
 level 1 upward, then back-substitution, for any number of right-hand-side
-columns and for a stack of thresholds that share a chain depth.  A chain
+columns and for a stack of thresholds that share a chain depth.  The chain
+is its jump rates (``QbdBlocks.rates``): the elimination expands a level's
+I - L_j and U_j from its row only when it reaches the level, and applies the
+departure block D_j, one nonzero per row, as the row shift it is.  A chain
 built on a :class:`~feedbackq.qbd.Ladder` starts its elimination above the
 rungs already eliminated; every chain is back-substituted in full, and every
 column must meet ``RESIDUAL_TOL``.  :func:`residual_norm` checks a solve in a
 fixed number of array operations whatever the depth: it reads each state's
 five neighbours through one read-only stencil table, shared by every chain,
-and weights them by the level rates (``QbdBlocks.rates``) rather than by the
-blocks the elimination used.  The tests cross-check the solver against a
-dense elimination oracle (``tests/dense_oracle.py``) and a truncated series
-of ``sum_d P^d b``, and the residual against its blockwise form
-(``tests/residual_oracle.py``).
+and weights them by the rates themselves rather than by the blocks the
+elimination expanded.  The tests cross-check the solver against a dense
+elimination oracle (``tests/dense_oracle.py``, which expands the rates by its
+own rule) and a truncated series of ``sum_d P^d b``, and the residual
+against its blockwise form (``tests/residual_oracle.py``).
 """
 
 from __future__ import annotations
@@ -43,6 +46,7 @@ from .qbd import (
     VARIANT_RENEGING_TAGGED,
     Ladder,
     QbdBlocks,
+    _stacked_from,
     build_chain,
     build_rhs_payoff,
     build_rhs_sojourn,
@@ -109,45 +113,56 @@ def _per_column(
     return np.concatenate([f(a, b[..., i : i + 1]) for i in range(b.shape[-1])], axis=-1)
 
 
-def _join(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """[a | b], a stack axis on one side broadcast to the other."""
-    if a.ndim != b.ndim:
-        a, b = (np.broadcast_to(m, (a.shape[:-2] or b.shape[:-2]) + m.shape[-2:]) for m in (a, b))
-    return np.concatenate((a, b), axis=-1)
+def _level_system(j: int, row: np.ndarray, c: np.ndarray, up: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Level j's I - L_j and [U_j | c] (c alone if not ``up``), expanded from
+    its rate row (``QbdBlocks.rates``; shape stack + (5,)): L_j holds the
+    balk self-loops on its diagonal, the feedback shifts (i, i - 1) below it
+    and phase 1's feedback to the tail in its top-right corner (on the
+    diagonal at level 1), U_j the joins on its diagonal."""
+    stack = row.shape[:-1]
+    balk, shift, tail, join, _ = row.T[..., None]
+    s = np.zeros(stack + (j * j,))
+    s[..., j :: j + 1] = 0.0 - shift  # entries (i, i - 1)
+    s[..., j - 1 : j] = 0.0 - tail
+    s[..., :: j + 1] = 1.0 - (balk + tail if j == 1 else balk)
+    width = (j + 1 if up else 0) + c.shape[-1]
+    a = np.zeros(stack + (j, width))
+    a[..., width - c.shape[-1] :] = c
+    if up:
+        a.reshape(stack + (-1,))[..., :: width + 1] = join  # entries (i, i)
+    return s.reshape(stack + (j, j)), a
 
 
 def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Forward pass of :func:`solve_structured`: k_j and h_j for j = 1..depth
-    (k_depth has no columns), stacked from the first level whose blocks are;
+    (k_depth has no columns), stacked from the first level whose rates are;
     a ladder's rung is eliminated once."""
     depth = blocks.depth
     width = cols.shape[1]
-    mul = np.matmul if width == 1 else partial(_per_column, np.matmul)
     rungs = blocks.rungs
     if rungs:
         blocks.ladder.hold(cols)
-    done = [r for r in rungs if r[1] is not None]  # a prefix: solves fill rungs from level 1 up
-    ks: list[np.ndarray] = [r[1] for r in done]
-    hs: list[np.ndarray] = [r[2] for r in done]
+    done = [r for r in rungs if r[0] is not None]  # a prefix: solves fill rungs from level 1 up
+    ks: list[np.ndarray] = [r[0] for r in done]
+    hs: list[np.ndarray] = [r[1] for r in done]
+    first = _stacked_from(blocks.variant, depth) if blocks.stack else depth + 1
+    lead = blocks.rates.reshape(-1, depth, 5)[0]  # below ``first`` every chain's rows are alike
     for j in range(len(done) + 1, depth + 1):
         o = level_offset(j)
-        s = np.eye(j) - blocks.local[j - 1]
-        c = cols[o : o + j]
-        if j > 1:
-            d = blocks.down[j - 2]
-            s = s - d @ ks[-1]
-            c = c + mul(d, hs[-1])
+        row = blocks.rates[..., j - 1, :] if j >= first else lead[j - 1]
+        s, a = _level_system(j, row, cols[o : o + j], j < depth)
+        if j > 1:  # D_j shifts rows down by one: (D_j m)[i] = dn m[i - 1], and row 0 is zero
+            dn = row[..., 4, None, None]
+            s[..., 1:, :] -= dn * ks[-1]
+            a[..., 1:, -width:] += dn * hs[-1]
         try:
-            if j < depth:
-                kh = np.linalg.solve(s, _join(blocks.up[j - 1], c))
-            else:
-                kh = _per_column(np.linalg.solve, s, c)
+            kh = np.linalg.solve(s, a) if j < depth else _per_column(np.linalg.solve, s, a)
         except np.linalg.LinAlgError as exc:
             raise ConsistencyError(f"singular elimination block at level {j}") from exc
         ks.append(kh[..., :-width])
         hs.append(kh[..., -width:])
         if j <= len(rungs):
-            rungs[j - 1][1:] = ks[-1], hs[-1]
+            rungs[j - 1][:] = ks[-1], hs[-1]
     return ks, hs
 
 
@@ -165,7 +180,7 @@ def solve_structured(blocks: QbdBlocks, rhs: np.ndarray) -> np.ndarray:
 
     For a stack of thresholds (:func:`feedbackq.qbd.build_chain`) ``rhs`` is
     shared and the result gains a leading stack axis.  Levels below the first
-    stacked block are eliminated once for the whole stack; each chain is
+    one whose rates differ across the stack are eliminated once for all; each chain is
     residual-checked and equals its own solve bit for bit.
     """
     depth = blocks.depth
@@ -237,17 +252,19 @@ def residual_norm(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> float | 
     one gather, whatever the depth.  The terms are summed as the blocks group
     them, (v - L v - b) - U v - D v: from lam/mu of about 1e3 on, the measure
     sits at its rounding floor of about eps * lam / mu, where a verdict can
-    follow the order of summation.
+    follow the order of summation.  A nonfinite entry in v gives a nan or
+    infinite norm, which fails the check, and no floating-point warning.
     """
     cols = np.reshape(rhs, (len(rhs), -1))
     v = np.reshape(v, blocks.stack + cols.shape)
     table = _stencil_columns(blocks.depth)
     padded = np.concatenate((v, np.zeros(blocks.stack + (1, cols.shape[1]))), axis=-2)
     near = np.take(padded, table[:5], axis=-2, mode="clip")
-    terms = np.take(blocks.rates.swapaxes(-1, -2), table[5], axis=-1)[..., None] * near
-    r = v - terms[..., :3, :, :].sum(axis=-3) - cols - terms[..., 3, :, :] - terms[..., 4, :, :]
     scale = np.maximum(np.abs(cols).max(axis=0), _TINY)
-    res = (np.abs(r).max(axis=-2) / scale).max(axis=-1)
+    with np.errstate(invalid="ignore", over="ignore"):  # a nonfinite v gives a nonfinite norm
+        terms = np.take(blocks.rates.swapaxes(-1, -2), table[5], axis=-1)[..., None] * near
+        r = v - terms[..., :3, :, :].sum(axis=-3) - cols - terms[..., 3, :, :] - terms[..., 4, :, :]
+        res = (np.abs(r).max(axis=-2) / scale).max(axis=-1)
     return res if blocks.stack else float(res)
 
 

@@ -9,9 +9,11 @@ from feedbackq import (
 )
 from feedbackq.model import inverse_index, level_offset, num_states
 
+from feedbackq.solver import _level_system
+
 from chain_oracle import oracle_generator
 from conftest import random_params
-from dense_oracle import assemble_full
+from dense_oracle import assemble_full, level_blocks
 
 
 def phase_one_rows(depth):
@@ -38,12 +40,14 @@ class TestShapes:
                 build_chain(params, x, "reneging_tagged"),
                 build_chain(params, x, "reneging_all"),
             ):
+                assert blocks.rates.shape == (blocks.depth, 5)
                 for j in range(1, blocks.depth + 1):
-                    assert blocks.local[j - 1].shape == (j, j)
-                    if j < blocks.depth:
-                        assert blocks.up[j - 1].shape == (j, j + 1)
-                    if j > 1:
-                        assert blocks.down[j - 2].shape == (j, j - 1)
+                    # the solver's expansion: I - L_j, and [U_j | c] below the top
+                    s, a = _level_system(j, blocks.rates[j - 1], np.zeros((j, 1)), j < blocks.depth)
+                    assert s.shape == (j, j)
+                    assert a.shape == (j, j + 2 if j < blocks.depth else 1)
+                    local, up, down = level_blocks(blocks, j)
+                    assert (local.shape, up.shape, down.shape) == ((j, j), (j, j + 1), (j, j - 1))
 
 
 class TestOracleGenerator:
@@ -115,28 +119,29 @@ class TestStructure:
         params = ModelParams(1.0, 0.8, 0.4)
         blocks = build_chain(params, 0.5, "nonreneging")
         denom = 1.8
-        np.testing.assert_allclose(blocks.local[0], [[(1.0 + 0.48) / denom]])
+        (local1, up1, _), (local2, _, down2) = (level_blocks(blocks, j) for j in (1, 2))
+        np.testing.assert_allclose(local1, [[(1.0 + 0.48) / denom]])
         np.testing.assert_allclose(
-            blocks.local[1],
+            local2,
             [[1.0 / denom, 0.48 / denom], [0.48 / denom, 1.0 / denom]],
         )
-        np.testing.assert_allclose(blocks.up[0], [[0.0, 0.0]])
-        np.testing.assert_allclose(blocks.down[0], [[0.0], [0.32 / denom]])
+        np.testing.assert_allclose(up1, [[0.0, 0.0]])
+        np.testing.assert_allclose(down2, [[0.0], [0.32 / denom]])
         full = assemble_full(blocks)
         assert full.matrix[0, 0] == pytest.approx(1.0 - 0.32 / denom)
 
     def test_integer_threshold_top_level_unreachable(self):
         blocks = build_chain(ModelParams(0.7, 1.1, 0.6), 2.0, "nonreneging")
         assert blocks.depth == 3
-        np.testing.assert_array_equal(blocks.up[1], np.zeros((2, 3)))
+        np.testing.assert_array_equal(level_blocks(blocks, 2)[1], np.zeros((2, 3)))
         # interior up-blocks still feed upward
-        assert np.any(blocks.up[0] > 0)
+        assert np.any(level_blocks(blocks, 1)[1] > 0)
 
     def test_fractional_up_block_carries_join_probability(self):
         params = ModelParams(1.0, 0.8, 0.4)
         blocks = build_chain(params, 2.6, "nonreneging")
-        np.testing.assert_allclose(np.diag(blocks.up[1][:, :2]), np.full(2, 1.0 * 0.6 / 1.8))
-        np.testing.assert_array_equal(blocks.up[2], np.zeros((3, 4)))
+        np.testing.assert_allclose(np.diag(level_blocks(blocks, 2)[1][:, :2]), np.full(2, 1.0 * 0.6 / 1.8))
+        np.testing.assert_array_equal(level_blocks(blocks, 3)[1], np.zeros((3, 4)))
 
     def test_reneging_top_blocks(self):
         params = ModelParams(1.0, 0.8, 0.4)
@@ -147,14 +152,13 @@ class TestStructure:
         fb = 0.8 * 0.6 / denom
         down_rate = (0.32 + 0.48 * (1 - p)) / denom
         for blocks in (tagged, everyone):
-            np.testing.assert_allclose(
-                blocks.down[-1][1:, :], np.diag(np.full(2, down_rate)), atol=1e-15
-            )
-            np.testing.assert_allclose(blocks.down[-1][0, :], 0.0)
-            sub = np.diag(blocks.local[-1][1:, :-1])
+            local, _, down = level_blocks(blocks, blocks.depth)
+            np.testing.assert_allclose(down[1:, :], np.diag(np.full(2, down_rate)), atol=1e-15)
+            np.testing.assert_allclose(down[0, :], 0.0)
+            sub = np.diag(local[1:, :-1])
             np.testing.assert_allclose(sub, np.full(2, fb * p))
-        assert tagged.local[-1][0, -1] == pytest.approx(fb)
-        assert everyone.local[-1][0, -1] == pytest.approx(fb * p)
+        assert level_blocks(tagged, tagged.depth)[0][0, -1] == pytest.approx(fb)
+        assert level_blocks(everyone, everyone.depth)[0][0, -1] == pytest.approx(fb * p)
 
     def test_integer_threshold_shared_levels_match_nonreneging(self, rng):
         # below the top level the three chains are identical when x is integer
@@ -208,7 +212,8 @@ class TestStructure:
 
 
 class TestRates:
-    """Each level's five jump rates, from which its blocks are expanded."""
+    """Each level's five jump rates, the chain's only stored form; the solver
+    expands a level's blocks from them when it eliminates the level."""
 
     def test_blocks_hold_the_rates_and_nothing_else(self, rng):
         for _ in range(20):
@@ -220,11 +225,16 @@ class TestRates:
                 for j, (balk, shift, tail, join, dep) in enumerate(blocks.rates, start=1):
                     local = np.diag(np.full(j, balk)) + np.diag(np.full(j - 1, shift), -1)
                     local[0, -1] += tail
-                    np.testing.assert_array_equal(blocks.local[j - 1], local)
+                    c = np.arange(2.0 * j).reshape(j, 2)
+                    s, a = _level_system(j, blocks.rates[j - 1], c, j < blocks.depth)
+                    np.testing.assert_array_equal(s, np.eye(j) - local)
                     if j < blocks.depth:
-                        np.testing.assert_array_equal(blocks.up[j - 1], np.eye(j, j + 1) * join)
-                    if j > 1:
-                        np.testing.assert_array_equal(blocks.down[j - 2], np.eye(j, j - 1, -1) * dep)
+                        np.testing.assert_array_equal(a, np.hstack((np.eye(j, j + 1) * join, c)))
+                    else:
+                        np.testing.assert_array_equal(a, c)
+                    np.testing.assert_array_equal(level_blocks(blocks, j)[0], local)
+                    if j > 1:  # the solver applies D_j as a row shift (TestElimination)
+                        np.testing.assert_array_equal(level_blocks(blocks, j)[2], np.eye(j, j - 1, -1) * dep)
 
     def test_stacks_and_rungs_keep_each_chains_rates(self):
         params = ModelParams(1.0, 0.8, 0.4)

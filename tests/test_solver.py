@@ -26,7 +26,7 @@ from feedbackq.model import chain_depth, level_offset, num_states
 from feedbackq.solver import RESIDUAL_TOL, _check_residual, _eliminate, payoff_vectors
 
 from conftest import REFERENCE_CASES, params_of, random_params
-from dense_oracle import assemble_full, solve_dense
+from dense_oracle import assemble_full, level_blocks, solve_dense
 from residual_oracle import residual_norm_blockwise
 
 
@@ -53,7 +53,8 @@ def neumann_solve(full, rhs, tol=1e-15, max_terms=10**6):
 
 class TestElimination:
     def test_level_schur_relation(self, rng):
-        # S_j k_j = U_j with S_j = I - L_j - D_j k_{j-1}, rebuilt from the blocks
+        # S_j k_j = U_j with S_j = I - L_j - D_j k_{j-1}, rebuilt from blocks
+        # that the dense oracle expands from the rates
         for _ in range(10):
             params = random_params(rng)
             x = rng.uniform(0.3, 7.0)
@@ -61,10 +62,35 @@ class TestElimination:
                 ks, _ = _eliminate(blocks, build_rhs_sojourn(params, blocks.depth)[:, None])
                 assert ks[-1].shape == (blocks.depth, 0)
                 for j in range(1, blocks.depth):
-                    s = np.eye(j) - blocks.local[j - 1]
+                    local, up, down = level_blocks(blocks, j)
+                    s = np.eye(j) - local
                     if j > 1:
-                        s -= blocks.down[j - 2] @ ks[j - 2]
-                    np.testing.assert_allclose(s @ ks[j - 1], blocks.up[j - 1], atol=1e-12)
+                        s -= down @ ks[j - 2]
+                    np.testing.assert_allclose(s @ ks[j - 1], up, atol=1e-12)
+
+    def test_departures_as_a_row_shift_equal_the_dense_product_bit_for_bit(self, rng):
+        # D_j has one nonzero per row, dn at (i, i - 1), so D_j m moves m down one
+        # row and scales it by dn: the elimination applies it so, and every
+        # entry must equal the dense product's, single chains and stacks alike
+        checked = set()
+        for _ in range(30):
+            params = random_params(rng, r0_span=(0.0, 20.0))
+            x = float(rng.uniform(0.0, 10.0))
+            for variant in VARIANTS:
+                reneging = variant != "nonreneging"
+                depth = chain_depth(qbd.as_threshold(x), reneging)
+                for th in [x] + ([stack_of_depth(rng, reneging, depth, 3)] if depth > 1 else []):
+                    blocks = build_chain(params, th, variant)
+                    ks, hs = _eliminate(blocks, layout_rhs(params, "pair", blocks.depth))
+                    for j in range(2, blocks.depth + 1):
+                        down = level_blocks(blocks, j)[2]
+                        dn = blocks.rates[..., j - 1, 4, None, None]
+                        for m in (ks[j - 2], hs[j - 2]):
+                            dense = down @ m
+                            np.testing.assert_array_equal(dense[..., 0, :], 0.0)
+                            np.testing.assert_array_equal(dense[..., 1:, :], dn * m)
+                    checked.add((variant, np.ndim(th) > 0))
+        assert len(checked) == 6
 
     def test_first_passage_rows_are_subprobabilities(self, rng):
         # k_j holds the chances of reaching level j+1 before the tagged
@@ -359,12 +385,15 @@ class TestStackedSolve:
                 blocks = build_chain(params, xs, variant)
                 singles = [build_chain(params, x, variant) for x in xs]
                 varying = {depth - 1, depth} if reneging else {depth - 2}
-                for name, first in (("local", 1), ("up", 1), ("down", 2)):
-                    for j, block in enumerate(getattr(blocks, name), start=first):
-                        assert block.ndim == (3 if j in varying else 2), (variant, name, j)
-                        for g, single in enumerate(singles):
-                            own = block[g] if block.ndim == 3 else block
-                            np.testing.assert_array_equal(own, getattr(single, name)[j - first])
+                # each chain keeps its own rates, which differ across the
+                # stack only where p touches; the elimination stacks from there
+                np.testing.assert_array_equal(blocks.rates, [single.rates for single in singles])
+                for j in set(range(1, depth + 1)) - varying:
+                    assert np.all(blocks.rates[:, j - 1] == blocks.rates[0, j - 1]), (variant, j)
+                assert qbd._stacked_from(variant, depth) == min(varying)
+                ks, hs = _eliminate(blocks, build_rhs_sojourn(params, depth)[:, None])
+                for j, (k, h) in enumerate(zip(ks, hs), start=1):
+                    assert k.ndim == h.ndim == (3 if j >= min(varying) else 2), (variant, j)
 
     def test_a_stack_of_one(self):
         params = ModelParams(1.0, 0.8, 0.4, 7.5)
@@ -459,24 +488,20 @@ class TestLadder:
         assert len(kinds) == 36
 
     def test_extends_on_demand_and_shares_its_blocks(self):
+        # the blocks shared are the rungs' k_j and h_j
         params = ModelParams(1.0, 0.8, 0.4)
         ladder = Ladder(params)
         shallow = build_chain(params, 3.5, "nonreneging", ladder)
         assert len(ladder.joining) == 2 and shallow.rungs == tuple(ladder.joining)  # levels 1-2
         deep = build_chain(params, 7.25, "reneging_all", ladder)
         assert len(ladder.joining) == 6 and deep.rungs == tuple(ladder.joining)  # levels 1-6
-        for j in (1, 2):
-            assert deep.local[j - 1] is shallow.local[j - 1] is ladder.joining[j - 1][0][0]
-            assert deep.up[j - 1] is shallow.up[j - 1]
-        assert deep.down[0] is shallow.down[0]
-        assert shallow.local[2] is not deep.local[2]  # level 3 balks in the shallow chain
-        assert all(rung[1] is None for rung in ladder.joining)  # nothing eliminated yet
+        assert all(rung[0] is None for rung in ladder.joining)  # nothing eliminated yet
         solve_structured(shallow, build_rhs_sojourn(params, shallow.depth))
-        assert [rung[1] is not None for rung in ladder.joining] == [True] * 2 + [False] * 4
-        first = [rung[1] for rung in ladder.joining[:2]]
+        assert [rung[0] is not None for rung in ladder.joining] == [True] * 2 + [False] * 4
+        first = [rung[0] for rung in ladder.joining[:2]]
         solve_structured(deep, build_rhs_sojourn(params, deep.depth))
-        assert all(rung[1] is not None for rung in ladder.joining)
-        assert all(rung[1] is k for rung, k in zip(ladder.joining, first))
+        assert all(rung[0] is not None for rung in ladder.joining)
+        assert all(rung[0] is k for rung, k in zip(ladder.joining, first))
         # a chain's rungs are its levels 1 .. floor(x) - 1, whatever the variant
         for variant in VARIANTS:
             for x in (0.0, 0.5, 1.0, 2.0, 2.5, 5.0, 6.75, 3.0):
@@ -502,9 +527,9 @@ class TestLadder:
             tagged = build_chain(params, float(m), "reneging_tagged", ladder)
             assert tagged.rungs == plain.rungs and len(tagged.rungs) == m - 1
             ks, hs = _eliminate(tagged, build_rhs_sojourn(params, m + 1)[:, None])
-            assert all(k is rung[1] and h is rung[2] for k, h, rung in zip(ks, hs, tagged.rungs))
+            assert all(k is rung[0] and h is rung[1] for k, h, rung in zip(ks, hs, tagged.rungs))
             assert len(ks) == m + 1
-            assert not any(k is rung[1] for k in ks[m - 1 :] for rung in ladder.joining)
+            assert not any(k is rung[0] for k in ks[m - 1 :] for rung in ladder.joining)
 
     @pytest.mark.parametrize("fault", ["perturbed k", "dropped D h"])
     def test_a_corrupted_rung_fails_every_close_above_it(self, fault):
@@ -515,11 +540,11 @@ class TestLadder:
         j = 4
         rung = ladder.joining[j - 1]
         if fault == "perturbed k":
-            rung[1] = rung[1] * (1.0 + 1e-6)
+            rung[0] = rung[0] * (1.0 + 1e-6)
         else:
-            local, up, down = rung[0]
-            s = np.eye(j) - local - down @ ladder.joining[j - 2][1]
-            rung[2] = np.linalg.solve(s, build_rhs_sojourn(params, j)[level_offset(j) :, None])
+            local, up, down = level_blocks(deep, j)
+            s = np.eye(j) - local - down @ ladder.joining[j - 2][0]
+            rung[1] = np.linalg.solve(s, build_rhs_sojourn(params, j)[level_offset(j) :, None])
         for variant in VARIANTS:
             for x in (5.0, 5.5, 6.25, 8.5):  # floor(x) > j: level j is a joining rung
                 blocks = build_chain(params, x, variant, ladder)
@@ -586,19 +611,19 @@ class TestStencilResidual:
                         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
 
     def test_an_expansion_fault_fails_the_solve(self, monkeypatch):
-        # the check reads the level rates, not the blocks the solve used, so
-        # a fault in expanding the rates into blocks no longer passes
-        def shifted(j, rates):
-            m = np.zeros((j, j))
-            flat = m.reshape(-1)
-            flat[j - 1] += rates[2]
-            flat[j :: j] += rates[1]  # stride j, not j + 1: off the sub-diagonal from level 3
-            if rates[0]:
-                flat[:: j + 1] += rates[0]
-            return m
+        # the check reads the level rates, not the blocks the solve expanded
+        # from them, so a fault in that expansion does not pass
+        expand = solver._level_system
+
+        def shifted(j, row, c, up):
+            s, a = expand(j, row, c, up)
+            flat = s.reshape(-1)  # a view of I - L_j
+            flat[j :: j + 1] += row[1]  # take the feedback shifts off the sub-diagonal
+            flat[j :: j] -= row[1]  # stride j, not j + 1: off the sub-diagonal from level 3
+            return s, a
 
         params = ModelParams(1.0, 0.8, 0.4, 7.8)
-        monkeypatch.setattr(qbd, "_local_block", shifted)
+        monkeypatch.setattr(solver, "_level_system", shifted)
         for variant in VARIANTS:
             blocks = build_chain(params, 4.5, variant)
             rhs = build_rhs_sojourn(params, blocks.depth)
@@ -617,7 +642,7 @@ class TestStencilResidual:
             for k in (0, 4, blocks.num_states - 1):
                 u = v.copy()
                 u[..., k, 1] = bad
-                with np.errstate(invalid="ignore"), pytest.raises(ConsistencyError, match="residual"):
+                with pytest.raises(ConsistencyError, match="residual"):
                     _check_residual(blocks, u, rhs)
 
     def test_one_table_grows_to_the_deepest_chain(self, monkeypatch):
