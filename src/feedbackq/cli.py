@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import os
 import secrets
@@ -226,8 +227,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     if what == "tagged":
         if not args.start:
             raise ValueError("tagged runs need --start i,j")
-        i, j = (int(v) for v in args.start.split(","))
-        sim = simulate_tagged(config, (i, j))
+        sim = simulate_tagged(config, _start_state(args.start))
     elif what == "renege":
         sim = simulate_renege_fraction(config)
     else:
@@ -248,6 +248,14 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         result["renege_analytic"] = renege_probability(params, args.threshold)
     _emit(_record("simulate", params, result))
     return 0
+
+
+def _start_state(text: str) -> tuple[int, int]:
+    try:
+        i, j = (int(v) for v in text.split(","))
+    except ValueError:
+        raise ValueError(f"--start must be two integers i,j, got {text!r}") from None
+    return i, j
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -311,9 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` reads, built on its first call.  Parsing leaves
+    it unchanged, so every call and every thread can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         code = args.func(args)
         sys.stdout.flush()

@@ -19,10 +19,13 @@ joining or balking at the boundary, success, failure staying or leaving),
 and the queue length moves by one lookup ``k = table[code + k]``.  A tagged
 replication's queue length steps so, and its own place i by arithmetic on
 the class; the live replications of a batch step together.  The ergodic
-queue length takes one ``itertools.accumulate`` step per event, and the
-rest is vectorised over sub-blocks of events: holding times, event times by
-a cumulative sum, batch membership, occupancy and counts summed in event
-order.  Payoff tracking treats the queue as a run of slots, each service
+queue length steps up to three events per lookup in a composed table (one
+``itertools.accumulate`` step per tuple of events, then one gather per
+offset inside the tuples), and the rest is vectorised over sub-blocks of
+events: holding times, event times by a cumulative sum, batch membership,
+occupancy and counts summed in event order.  A renege-fraction run only
+counts, so it skips the clock: no holding or event times, no occupancy.
+Payoff tracking treats the queue as a run of slots, each service
 reading the head slot and each join or staying failure appending one, and
 resolves every slot to its customer's join time by pointer doubling.
 Outputs equal those of the earlier masked and per-event engines bit for bit.
@@ -58,6 +61,10 @@ MAX_BATCH_STEPS = 10_000_000
 #: transient arrays and the one Python list each sub-block builds.
 CHUNK = 1 << 16
 SUB_BLOCK = 4096
+
+#: Largest composed stepping table (entries) that :class:`_Stepper` builds;
+#: x = 50 still steps three events per lookup.
+STEP_TABLE_MAX = 1 << 18
 
 #: Tagged replications run in batches of this many, one spawned child
 #: stream each; ergodic runs report batch means over this many batches.
@@ -244,8 +251,7 @@ def simulate_renege_fraction(config: SimConfig) -> SimResult:
     """Fraction of joining customers who abandon before a successful completion."""
     if config.mode != MODE_R:
         raise ValueError("the renege fraction is defined for the reneging game only")
-    occupancy, joins, reneges, _, _ = _population_run(config, track_payoffs=False)
-    del occupancy
+    _, joins, reneges, _, _ = _population_run(config, track_payoffs=False, clock=False)
     return SimResult({"renege_fraction": _batch_ratio(reneges, joins)})
 
 
@@ -264,9 +270,11 @@ def _batch_ratio(numerators: np.ndarray, denominators: np.ndarray, count=None) -
     return Estimate(mean, se, int(total_d) if count is None else count)
 
 
-def _population_run(config: SimConfig, track_payoffs: bool):
+def _population_run(config: SimConfig, track_payoffs: bool, clock: bool = True):
     """Shared ergodic engine: returns per-batch occupancy, join/renege counts,
-    and (optionally) per-batch payoff sums over arrivals."""
+    and (optionally) per-batch payoff sums over arrivals.  Without the
+    ``clock`` it only counts: no holding times, event times or occupancy,
+    which stays zero (payoff tracking needs the clock)."""
     params = config.params
     lam, mu, q = params.lam, params.mu, params.q
     pop = as_threshold(config.x)
@@ -287,7 +295,7 @@ def _population_run(config: SimConfig, track_payoffs: bool):
     payoff_sums = np.zeros(n_batches)
     payoff_counts = np.zeros(n_batches)
 
-    table, stride = _transition_table(n, p, kmax, reneging)
+    step = _Stepper(*_transition_table(n, p, kmax, reneging))
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
     pr_arrival = lam / (lam + mu)
     # Draws are refilled in place chunk by chunk; the standard exponential
@@ -308,37 +316,35 @@ def _population_run(config: SimConfig, track_payoffs: bool):
         for lo in range(0, chunk_events, SUB_BLOCK):
             hi = min(lo + SUB_BLOCK, chunk_events)
             e, u, v, w = exps[lo:hi], us[lo:hi], vs[lo:hi], ws[lo:hi]
-            codes = stride * ((u < pr_arrival) + 2 * (v < p) + 4 * (v < q) + 8 * (w < p))
+            arrives, succeeds = u < pr_arrival, v < q
             # The one sequential step: the queue length before each event.
-            ks = np.fromiter(
-                accumulate(codes.tolist(), lambda k, code: table[code + k], initial=k),
-                dtype=np.int64,
-                count=hi - lo + 1,
-            )
+            ks = step(arrives + 2 * (v < p) + 4 * succeeds + 8 * (w < p), k)
             k = int(ks[-1])
             if k > kmax:
                 raise RuntimeError("population exceeded its reachable level; dynamics are broken")
             before, after = ks[:-1], ks[1:]
-            arrival = (before == 0) | (u < pr_arrival)
-            service = ~arrival
-            success = service & (v < q)
             joined = after > before
-            leaves = service & ~success & (after < before)
-
-            dt = np.where(before == 0, e / lam, e / (lam + mu))
-            times = np.cumsum(np.concatenate(([now], dt)))[1:]  # the sequential sum
-            now = times[-1]
+            leaves = (after < before) & ~succeeds  # only a service lowers k
 
             first = chunk_start + lo
             win = min(max(warmup_events - first, 0), hi - lo)
             batch = np.full(hi - lo, -1, dtype=np.int64)
             batch[win:] = np.searchsorted(bounds, np.arange(first + win, first + hi - lo), "right")
             in_batch = batch[win:]
+            joins += np.bincount(in_batch[joined[win:]], minlength=n_batches)
+            reneges += np.bincount(in_batch[leaves[win:]], minlength=n_batches)
+            if not clock:
+                continue
+            arrival = (before == 0) | arrives
+            service = ~arrival
+            success = service & succeeds
+
+            dt = np.where(before == 0, e / lam, e / (lam + mu))
+            times = np.cumsum(np.concatenate(([now], dt)))[1:]  # the sequential sum
+            now = times[-1]
             # add.at adds in event order, so every cell sums as the loop did.
             np.add.at(occupancy, (in_batch, before[win:]), dt[win:])
             payoff_counts += np.bincount(in_batch[arrival[win:]], minlength=n_batches)
-            joins += np.bincount(in_batch[joined[win:]], minlength=n_batches)
-            reneges += np.bincount(in_batch[leaves[win:]], minlength=n_batches)
             if track_payoffs:
                 queue_t, queue_b = _track_payoffs(
                     queue_t, queue_b, service, success, leaves, joined, times, batch,
@@ -374,6 +380,52 @@ def _transition_table(n: int, p: float, kmax: int, reneging: bool) -> tuple[list
                 nxt = k if stays else k - 1
             table.append(nxt)
     return table, stride
+
+
+class _Stepper:
+    """Queue-length stepping over :func:`_transition_table`, ``t`` events
+    per Python lookup.
+
+    The composed table maps a tuple of t event classes and the queue length
+    before them to the length after them:
+    ``composed[(c1 * 16 + c2) * 16 + c3, k] = table[c3, table[c2, table[c1, k]]]``.
+    t is 3 or 2 if that table fits ``STEP_TABLE_MAX`` entries, else 1.  The
+    spare level kmax + 1 stays absorbing under composition, so a run that
+    reaches it still ends there.
+    """
+
+    def __init__(self, table: list[int], stride: int) -> None:
+        single = np.array(table).reshape(16, stride)
+        self.t = next((t for t in (3, 2) if 16**t * stride <= STEP_TABLE_MAX), 1)
+        composed = single
+        for _ in range(self.t - 1):
+            composed = single[np.arange(16)[:, None], composed[:, None, :]].reshape(-1, stride)
+        self.lookup = composed.ravel().tolist()
+        self.single = single.ravel()
+        self.stride = stride
+
+    def __call__(self, classes: np.ndarray, k: int) -> np.ndarray:
+        """The queue length before every event and after the last, from k:
+        one lookup per tuple, then one gather per offset fills the lengths
+        inside the tuples, and leftover events step singly."""
+        t, stride, lookup, single = self.t, self.stride, self.lookup, self.single
+        events = len(classes)
+        whole = events - events % t
+        packed = classes[0:whole:t]
+        for offset in range(1, t):
+            packed = 16 * packed + classes[offset:whole:t]
+        ks = np.empty(events + 1, dtype=np.int64)
+        ks[0 : whole + 1 : t] = np.fromiter(
+            accumulate((stride * packed).tolist(), lambda k, code: lookup[code + k], initial=k),
+            dtype=np.int64,
+            count=whole // t + 1,
+        )
+        for offset in range(1, t):
+            before = ks[offset - 1 : whole : t]
+            ks[offset:whole:t] = single[stride * classes[offset - 1 : whole : t] + before]
+        for i in range(whole, events):
+            ks[i + 1] = single[stride * classes[i] + ks[i]]
+        return ks
 
 
 def _track_payoffs(queue_t, queue_b, service, success, leaves, joined, times, batch, r0, payoff_sums):

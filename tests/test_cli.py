@@ -2,12 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from feedbackq.cli import main
+from feedbackq import cli
+from feedbackq.cli import build_parser, main
 
 
 def run_cli(capsys, *argv):
@@ -309,6 +311,16 @@ class TestSimulate:
         assert len(record["result"]["histogram"]) == len(record["result"]["histogram_analytic"])
 
 
+    @pytest.mark.parametrize("start", ["2,2,3", "2", "a,b", "2.5,3"])
+    def test_malformed_start_names_the_flag(self, capsys, start):
+        code, out, err = run_cli(
+            capsys, "simulate", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
+            "--threshold", "2.073", f"--start={start}", "--what", "tagged", "--reps", "10",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == f"--start must be two integers i,j, got {start!r}"
+
+
 class TestSeedHandling:
     def test_entropy_seed_differs_across_runs(self, capsys):
         argv = [
@@ -344,3 +356,61 @@ class TestReadmeCommands:
         code, out, _ = run_cli(capsys, *rec["command"].split()[1:])
         assert code == rec["exit_code"]
         assert out == rec["stdout"]
+
+
+class TestSharedParser:
+    RECORDED = TestReadmeCommands.RECORDED
+    ARGVS = [rec["command"].split()[1:] for rec in RECORDED]
+
+    def test_readme_commands_twice_in_one_process(self, capsys):
+        # The second pass runs in reverse order on the parser the first built.
+        order = list(range(8)) + list(reversed(range(8)))
+        for index in order:
+            rec = self.RECORDED[index]
+            code, out, _ = run_cli(capsys, *self.ARGVS[index])
+            assert (code, out) == (rec["exit_code"], rec["stdout"])
+
+    def test_main_builds_its_parser_once(self, capsys, monkeypatch):
+        built = []
+
+        def counting():
+            built.append(build_parser())
+            return built[-1]
+
+        monkeypatch.setattr(cli, "build_parser", counting)
+        cli._parser.cache_clear()
+        try:
+            for _ in range(3):
+                assert run_cli(capsys, *self.ARGVS[0])[0] == 0
+            assert len(built) == 1 and cli._parser() is built[0]
+        finally:
+            cli._parser.cache_clear()
+        assert build_parser() is not build_parser()
+
+    def test_threads_parse_like_one_thread(self):
+        serial = [build_parser().parse_args(argv) for argv in self.ARGVS]
+        parser = cli._parser()
+        errors, results = [], {}
+
+        def work(name):
+            try:
+                results[name] = [
+                    parser.parse_args(argv) for _ in range(50) for argv in self.ARGVS
+                ]
+            except Exception as exc:  # reported by the assertion below
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(name,)) for name in "ab"]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        for name in "ab":
+            assert results[name] == serial * 50

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -17,7 +19,13 @@ from feedbackq import (
 )
 from feedbackq import simulate
 from feedbackq.model import as_threshold, chain_depth
-from feedbackq.simulate import BATCH_SIZE, _population_run
+from feedbackq.simulate import (
+    BATCH_SIZE,
+    STEP_TABLE_MAX,
+    _population_run,
+    _Stepper,
+    _transition_table,
+)
 
 from population_oracle import population_run_oracle
 from tagged_oracle import simulate_tagged_oracle
@@ -280,6 +288,11 @@ class TestErgodicEngine:
             assert len(got) == len(want) == 5
             for a, b in zip(got, want):
                 np.testing.assert_array_equal(a, b, strict=True)
+        # The count-only run simulate_renege_fraction makes skips the clock
+        # but counts joins and reneges exactly as the loop did.
+        _, joins, reneges, _, _ = _population_run(config, False, clock=False)
+        np.testing.assert_array_equal(joins, want[1], strict=True)
+        np.testing.assert_array_equal(reneges, want[2], strict=True)
 
     def test_configs_cover_the_edge_cases(self):
         configs = _engine_configs()
@@ -297,6 +310,75 @@ class TestErgodicEngine:
         cfg = SimConfig(params=ModelParams(1.0, 0.8, 0.8), x=2.5, events=10_000, seed=3)
         with pytest.raises(RuntimeError, match="exceeded its reachable level"):
             _population_run(cfg, False)
+        with pytest.raises(RuntimeError, match="exceeded its reachable level"):
+            _population_run(cfg, False, clock=False)
+        with pytest.raises(RuntimeError, match="exceeded its reachable level"):
+            simulate_renege_fraction(dataclasses.replace(cfg, mode="r"))
+
+
+def _step_cases():
+    """Seeded transition tables: both modes, kmax 0 and 1, x = 50's kmax
+    (50) and kmaxes whose composed tables outgrow STEP_TABLE_MAX for three
+    and for two events per lookup; n from 0 to one past kmax."""
+    rng = np.random.default_rng(20261019)
+    cases = []
+    for i, kmax in enumerate((0, 1, 0, 1, 2, 3, 5, 8, 50, 50, 63, 120, 1100)):
+        n = int(rng.integers(0, kmax + 2))
+        p = 0.0 if i % 4 == 0 else float(rng.uniform())
+        cases.append((n, p, kmax, bool(i % 3)))
+    return cases
+
+
+class TestComposedStepping:
+    LENGTHS = (0, 1, 2, 3, 4, 5, 6, 97, 98, 99, 100)
+
+    @staticmethod
+    def single_steps(table, stride, classes, k):
+        ks = [k]
+        for c in classes.tolist():
+            ks.append(table[stride * c + ks[-1]])
+        return ks
+
+    @pytest.mark.parametrize("case", _step_cases(), ids=str)
+    def test_composed_steps_equal_single_steps(self, case):
+        n, p, kmax, reneging = case
+        table, stride = _transition_table(n, p, kmax, reneging)
+        step = _Stepper(table, stride)
+        assert stride == kmax + 2
+        assert 16**step.t * stride <= STEP_TABLE_MAX or step.t == 1
+        assert step.t == 3 or 16 ** (step.t + 1) * stride > STEP_TABLE_MAX
+        rng = np.random.default_rng(kmax)
+        for length in self.LENGTHS:
+            classes = rng.integers(0, 16, length)
+            for k in (0, kmax, kmax + 1):
+                got = step(classes, k)
+                assert got.dtype == np.int64 and got.tolist() == self.single_steps(
+                    table, stride, classes, k
+                )
+            # The spare level flags broken dynamics: nothing leaves it.
+            assert set(step(classes, kmax + 1).tolist()) == {kmax + 1}
+
+    def test_cases_cover_every_tuple_size(self):
+        cases = _step_cases()
+        steps = [_Stepper(*_transition_table(n, p, kmax, r)) for n, p, kmax, r in cases]
+        assert {s.t for s in steps} == {1, 2, 3}
+        assert _Stepper(*_transition_table(50, 0.5, 51, False)).t == 3  # x = 50.5
+        assert {kmax for _, _, kmax, _ in cases} >= {0, 1, 50}
+        assert {r for *_, r in cases} == {False, True}
+        assert {length % 3 for length in self.LENGTHS} == {0, 1, 2}
+        assert {length % 2 for length in self.LENGTHS} == {0, 1}
+
+    def test_composed_table_spans_every_class_tuple(self):
+        # Walking each three-class tuple through the single table gives the
+        # composed entry, at every level including the spare one.
+        table, stride = _transition_table(2, 0.4, 3, True)
+        step = _Stepper(table, stride)
+        assert step.t == 3 and len(step.lookup) == 16**3 * stride
+        for code in range(16**3):
+            c1, c2, c3 = code >> 8, code >> 4 & 15, code & 15
+            for k in range(stride):
+                walked = table[stride * c3 + table[stride * c2 + table[stride * c1 + k]]]
+                assert step.lookup[stride * code + k] == walked
 
 
 def _tagged_draws():
