@@ -5,8 +5,7 @@ Usage: PYTHONPATH=src python tools/readme_times.py [--passes N]
 The commands are read from ``tests/readme_commands.json`` (the README's
 eight, in order).  Each pass runs all eight through ``feedbackq.cli.main``
 with output captured; a command's figure is its fastest pass, in ms.  The
-first pass is timed too, so the parser built by the first ``main()`` call
-shows in no command's best time only if a later pass beats it.  Run it
+first pass, which may build the CLI parser, is timed like the rest.  Run it
 against two source trees alternately to compare them.
 """
 
