@@ -229,7 +229,7 @@ def _mixed_root(
             t = f_lo / (f_lo - f_edge)
             root, value = m + t * (edge - m), f_lo + t * (f_edge - f_lo)
     residual = abs(value)
-    if residual > ROOT_TOL:
+    if not residual <= ROOT_TOL:
         raise ConsistencyError(f"mixed-root residual {residual:.3e} exceeds {ROOT_TOL:.1e}")
     return root, residual, evals
 
@@ -272,7 +272,7 @@ def _nash(params: ModelParams, reneging: bool, ladder: Ladder) -> EquilibriumRes
     r0 = params.r0
     cv = critical_values(params, 1, with_gamma=False, ladder=ladder)
     case, x, m, interval, residual, evals = CASE_BALK, 0.0, None, None, None, 0
-    if abs(r0 - cv.alpha) <= TIE_TOL * max(1.0, cv.alpha):
+    if abs(r0 - cv.alpha) <= TIE_TOL * cv.alpha:
         case, interval = CASE_INDIFFERENCE, (0.0, 1.0)
     elif r0 >= cv.alpha:
         m, nxt = 1, None  # nxt: the critical values at m + 1, once closed
@@ -328,7 +328,7 @@ def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
     """
     ladder = Ladder(params)
     cv = critical_values(params, 1, with_gamma=False, ladder=ladder)
-    if abs(params.r0 - cv.alpha) <= TIE_TOL * max(1.0, cv.alpha):
+    if abs(params.r0 - cv.alpha) <= TIE_TOL * cv.alpha:
         grid = tuple(float(d) for d in deviations if abs(float(d) - x_e) > 1e-12)
         return EssReport(
             x=x_e,
@@ -342,7 +342,7 @@ def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
     values_e = next(payoff_vectors(params, [x_e], False, ladder))
     dist_e = stationary_threshold(params, x_e, "n").probs
     u_ee = values_e.joining_mean(dist_e, x_e)
-    scale = max(1.0, abs(u_ee))
+    scale = abs(u_ee)
     checked: list[tuple[float, bool | None]] = []  # strictly worse, not, or None for a tie
     for dev in deviations:
         dx = float(dev)
@@ -360,7 +360,7 @@ def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
     for dx, values_d in zip(ties, payoff_vectors(params, ties, False, ladder)):
         dist_d = stationary_threshold(params, dx, "n").probs
         u_ed = values_d.joining_mean(dist_d, x_e)
-        settled[dx] = u_ed > values_d.joining_mean(dist_d, dx) + TIE_TOL * max(1.0, abs(u_ed))
+        settled[dx] = u_ed > values_d.joining_mean(dist_d, dx) + TIE_TOL * abs(u_ed)
     failures = tuple(dx for dx, verdict in checked if not (settled[dx] if verdict is None else verdict))
     return EssReport(
         x=x_e,
@@ -386,7 +386,7 @@ def equilibrium_payoffs_r(params: ModelParams, result: EquilibriumResult) -> Val
         direct = payoff_vector_r_all(params, result.x)
         via_tagged = payoff_vector_r_tagged(params, result.x)
         gap = float(np.max(np.abs(direct.values - via_tagged.values)))
-        if gap > PAYOFF_AGREEMENT_TOL * max(1.0, float(np.max(np.abs(direct.values)))):
+        if not gap <= PAYOFF_AGREEMENT_TOL * max(1.0, float(np.max(np.abs(direct.values)))):
             raise ConsistencyError(f"reneging equilibrium payoff routes disagree by {gap:.3e}")
         return direct
     return payoff_vector_r_all(params, float(result.m) if result.case == CASE_PURE else 0.0)

@@ -68,24 +68,23 @@ def sojourn_gap_closed_form(params: ModelParams, x: float) -> float:
     Supported on the fractional bands (1, 2) and (2, 3), where the gap is
     w(2,2) - w(1,1) and w(3,3) - w(2,2) respectively.  The result is checked
     against the chain solver before being returned; both gaps shrink as the
-    boundary joining probability grows.
+    boundary joining probability grows.  Each gap is 1/mu times a function
+    of the rate ratio lam/mu, q and p, so no power of a rate can overflow.
     """
     th = as_threshold(x)
     n, p = branch_parts(th)
     if th.is_integer or n not in (1, 2):
         raise ValueError(f"closed-form gap supported on (1,2) and (2,3) only, got {x}")
-    lam, mu, q = params.lam, params.mu, params.q
+    r, mu, q = params.lam / params.mu, params.mu, params.q
     if n == 1:
-        gap = (mu + lam * p) / (mu * (-mu * q**2 + 2 * mu * q + lam * p))
+        gap = (1.0 + r * p) / (mu * (q * (2.0 - q) + r * p))
     else:
-        f_p = (lam + 2 * lam * p * q + mu * q**3 - 3 * mu * q**2 - lam * q + 3 * mu * q) / (
-            (mu + lam * p)
-            * (lam * mu + lam**2 * p + lam * mu * p * q + mu**2 * q**3 - 3 * mu**2 * q**2 + 3 * mu**2 * q)
-        )
-        gap = 1.0 / (mu * (1.0 - mu**2 * (1.0 - q) ** 2 * f_p))
+        c = q**3 - 3.0 * q**2 + 3.0 * q
+        f = (r * (1.0 + 2.0 * p * q - q) + c) / ((1.0 + r * p) * (r * (1.0 + r * p + p * q) + c))
+        gap = 1.0 / (mu * (1.0 - (1.0 - q) ** 2 * f))
     w = sojourn_vector(params, th)
     solver_gap = w.at(n + 1, n + 1) - w.at(n, n)
-    if abs(gap - solver_gap) > GAP_TOL * max(1.0, abs(gap)):
+    if not abs(gap - solver_gap) <= GAP_TOL * max(1.0, abs(gap)):
         raise ConsistencyError(
             f"closed-form gap {gap!r} disagrees with the solver {solver_gap!r} at x={x}"
         )

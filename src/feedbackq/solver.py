@@ -315,7 +315,7 @@ def payoff_vector_r_tagged(
     rhs = np.column_stack([f(params, blocks.depth) for f in (build_rhs_payoff, build_rhs_sojourn)])
     z, w = solve_structured(blocks, rhs).T
     gap = float(np.max(np.abs(z - (params.r0 - w))))
-    if gap > AFFINE_CHECK_TOL * max(1.0, float(np.max(np.abs(z)))):
+    if not gap <= AFFINE_CHECK_TOL * max(1.0, float(np.max(np.abs(z)))):
         raise ConsistencyError(f"payoff solve and reward-minus-sojourn disagree by {gap:.3e}")
     return ValueVector("payoff_r_tagged", z, blocks.depth)
 

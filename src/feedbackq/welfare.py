@@ -4,9 +4,9 @@ Welfare is the long-run rate of net customer benefit.  It is computed three
 ways that must agree: a summation over joining positions weighted by the
 stationary law and the positional payoffs, a flow form (reward throughput
 minus mean queue length, by Little's law), and a closed form obtained by
-collapsing the geometric sums.  The closed forms give the welfare slope.
-The optimal threshold comes from one scan of the slope's sign core written
-as a positive sum, which stays exact at rho = 1; the marginal condition
+collapsing the geometric sums.  The welfare slope and the optimal threshold
+both read the slope's sign core written as a positive sum, which stays exact
+at rho = 1: the optimum comes from one scan of it, and the marginal condition
 cross-checks it at two integers.  A curve solves each chain depth's grid
 points as one stack on one ladder per mode, bit for bit the pointwise values.
 """
@@ -138,38 +138,37 @@ def _check_forms(summation: float, closed: float, mode: str) -> None:
 
 
 def welfare_derivative(params: ModelParams, x: float | Threshold, mode: str = "n") -> float:
-    """Closed-form welfare slope at a non-integer threshold.
+    """Welfare slope at a non-integer threshold, exact at every rho.
 
-    Undefined at integers, where the curve has a kink.  Both modes share the
-    sign-deciding core, so allowing reneging never moves the optimum.
+    On (n, n+1) it is ``rho^(n+1) (r0 mu q - F_n) / G^2`` without reneging
+    and ``q rho^(n+1) (r0 mu q - F_n) / H^2`` with it: F_n is the optimum's
+    sign core, ``G = sum_{i<=n} rho^i + p rho^(n+1)`` and
+    ``H = (1-p) sum_{i<=n} rho^i + p q sum_{i<=n+1} rho^i``, all positive
+    sums.  Undefined at integers, where the curve has a kink.  Both modes
+    share the sign core, so allowing reneging never moves the optimum.
     """
     th = as_threshold(x)
     if th.is_integer:
         raise ValueError("welfare derivative is undefined at integer thresholds")
     if mode not in ("n", "r"):
         raise ValueError(f"mode must be 'n' or 'r', got {mode!r}")
-    rho = params.rho
-    if abs(rho - 1.0) <= RHO_ONE_EPS:
-        raise ValueError("closed-form welfare derivative requires rho != 1")
-    n, p = th.n, th.p
-    # Above rho = 1 the core and the denominator's base are divided by rho^n,
-    # as in _welfare_n_closed, so neither overflows at large thresholds.
+    n, p, rho = th.n, th.p, params.rho
+    # Above rho = 1 every sum is divided by rho^n, as in stationary_threshold,
+    # so none overflows at large thresholds.
     shift = n if rho > 1.0 else 0
-    one, rho_n, rho_n1, rho_n2 = (rho ** (k - shift) for k in (0, n, n + 1, n + 2))
-    core = params.r0 * params.lam * (rho - 1.0) ** 2 * one - rho * (
-        (1.0 - 2.0 * rho + n * (1.0 - rho)) * one + rho_n2
-    )
+    powers = rho ** np.arange(-shift, n + 2 - shift, dtype=float)
+    sums = np.cumsum(powers)  # sums[k] = sum_{i<=k} rho^(i - shift)
+    core = params.r0 * params.mu * params.q * powers[0] - float(sums[: n + 1].sum())
     if mode == "n":
-        den = (one + rho_n1 * (p * (1.0 - rho) - 1.0)) ** 2
-        return rho_n * core / den
-    den = ((1.0 - p) * (rho_n1 - one) + p * params.q * (rho_n2 - one)) ** 2
-    return params.q * rho_n * core / den
+        return float(powers[n + 1] * core / (sums[n] + p * powers[n + 1]) ** 2)
+    den = (1.0 - p) * sums[n] + p * params.q * sums[n + 1]
+    return float(params.q * powers[n + 1] * core / den**2)
 
 
 def socially_optimal_threshold(params: ModelParams) -> int:
     """Smallest integer k at which the welfare slope turns nonpositive.
 
-    Divided by rho (1 - rho)^2, the sign core on (k, k+1) is r0 mu q minus
+    The welfare slope on (k, k+1) has the sign of its core, r0 mu q minus
     F_k = sum_{i<=k} (k+1-i) rho^i, a rising sum of positive terms, exact at
     rho = 1: the first k with F_k >= r0 mu q is the welfare peak at every
     rho.  Away from rho = 1 the marginal condition (Naor's, with service rate

@@ -270,7 +270,7 @@ def _ess_per_deviation(params, x_e, deviations, tie_tol=TIE_TOL):
     """The ESS grid check as it stood before it reused the equilibrium
     population's solve: every payoff through ``total_payoff``."""
     cv = critical_values(params, 1)
-    if abs(params.r0 - cv.alpha) <= tie_tol * max(1.0, cv.alpha):
+    if abs(params.r0 - cv.alpha) <= tie_tol * cv.alpha:
         grid = tuple(float(d) for d in deviations if abs(float(d) - x_e) > 1e-12)
         return EssReport(
             x=x_e, is_ess=False, checked=len(grid), strict_best=0, tie_resolved=0,
@@ -278,7 +278,7 @@ def _ess_per_deviation(params, x_e, deviations, tie_tol=TIE_TOL):
             note="reward equals the lone-customer sojourn: all thresholds in [0, 1] tie",
         )
     u_ee = total_payoff(params, x_e, x_e)
-    scale = max(1.0, abs(u_ee))
+    scale = abs(u_ee)
     strict = resolved = checked = 0
     failures = []
     for dev in deviations:
@@ -292,7 +292,7 @@ def _ess_per_deviation(params, x_e, deviations, tie_tol=TIE_TOL):
         elif abs(u_ee - u_de) <= tie_tol * scale:
             u_ed = total_payoff(params, x_e, dx)
             u_dd = total_payoff(params, dx, dx)
-            if u_ed > u_dd + tie_tol * max(1.0, abs(u_ed)):
+            if u_ed > u_dd + tie_tol * abs(u_ed):
                 resolved += 1
             else:
                 failures.append(dx)
@@ -344,6 +344,55 @@ class TestEssMatchesPerDeviationCheck:
         tie = params.with_r0(critical_values(params, 1).alpha)
         grid = np.arange(0.0, 1.0001, 0.1)
         assert ess_check(tie, 0.5, grid) == _ess_per_deviation(tie, 0.5, grid)
+
+
+#: The reference cases and one balking case, (lam, mu, q, r0).
+_RESCALED_CASES = [(c["lam"], c["mu"], c["q"], c["r0"]) for c in REFERENCE_CASES] + [(1.0, 0.8, 0.4, 2.0)]
+
+
+def _equilibria_and_ess(params: ModelParams):
+    results = [nash_n(params), nash_r(params)]
+    x_e = results[0].x
+    grid = np.round(np.arange(0.0, x_e + 2.0 + 1e-9, 0.05), 12)  # the CLI's --ess grid
+    return results, ess_check(params, x_e, grid)
+
+
+class TestTimeScaleInvariance:
+    """Rates times c and the reward over c is the same game in other time
+    units: every tie rule is relative, so the answer does not move."""
+
+    @pytest.mark.parametrize("c", [1e-4, 1e-2, 1e2, 1e6, 1e10, 1e14])
+    @pytest.mark.parametrize("case", _RESCALED_CASES)
+    def test_same_equilibria_and_ess_verdict(self, case, c):
+        lam, mu, q, r0 = case
+        base, base_ess = _equilibria_and_ess(ModelParams(lam, mu, q, r0))
+        scaled, scaled_ess = _equilibria_and_ess(ModelParams(lam * c, mu * c, q, r0 / c))
+        for want, got in zip(base, scaled):
+            assert (got.case, got.m, got.interval) == (want.case, want.m, want.interval)
+            assert got.x == pytest.approx(want.x, rel=1e-12, abs=0.0)
+        assert scaled_ess.is_ess == base_ess.is_ess
+        for field in ("checked", "strict_best", "tie_resolved", "failures"):
+            assert getattr(scaled_ess, field) == getattr(base_ess, field)
+
+
+class TestNanChecks:
+    def test_nan_mixed_root_residual_fails(self, monkeypatch):
+        monkeypatch.setattr(
+            equilibrium, "_brent", lambda objective, lo, hi, f_lo, f_hi: (0.5 * (lo + hi), np.nan, 1)
+        )
+        with pytest.raises(solver.ConsistencyError, match="mixed-root residual"):
+            nash_n(params_of(REFERENCE_CASES[0]))
+
+    def test_nan_tagged_payoffs_fail_the_route_check(self, monkeypatch):
+        def nan_tagged(params, x):
+            z = payoff_vector_r_tagged(params, x)
+            return solver.ValueVector(z.kind, np.full_like(z.values, np.nan), z.depth)
+
+        params = params_of(REFERENCE_CASES[0])
+        res = nash_r(params)
+        monkeypatch.setattr(equilibrium, "payoff_vector_r_tagged", nan_tagged)
+        with pytest.raises(solver.ConsistencyError, match="payoff routes disagree"):
+            equilibrium_payoffs_r(params, res)
 
 
 class TestEquilibriumPayoffsR:

@@ -11,7 +11,9 @@ from feedbackq import (
     sojourn_gap_closed_form,
     sojourn_vector,
 )
-from feedbackq.paradox import BAND_OBSERVED, BAND_PROVED, KIND_NO_DIFFERENCE
+from feedbackq import paradox
+from feedbackq.paradox import BAND_OBSERVED, BAND_PROVED, GAP_TOL, KIND_NO_DIFFERENCE
+from feedbackq.solver import ConsistencyError, ValueVector
 
 from conftest import REFERENCE_CASES, params_of, random_params
 
@@ -47,6 +49,28 @@ class TestSojournGap:
     def test_unsupported_thresholds_rejected(self, x):
         with pytest.raises(ValueError):
             sojourn_gap_closed_form(ModelParams(1.0, 0.8, 0.4), x)
+
+    @pytest.mark.parametrize("mu", [1e-150, 1e-50, 1.0, 1e50, 1e300])
+    @pytest.mark.parametrize("ratio", [1e-2, 1.0, 1e2])
+    @pytest.mark.parametrize("q", [0.05, 0.5, 1.0])
+    def test_finite_and_solver_exact_at_extreme_rates(self, mu, ratio, q):
+        # mu**2 overflowed from mu = 1.3e154 on, and the (1, 2) gap read 0.0
+        params = ModelParams(ratio * mu, mu, q)
+        for x in (1.3, 2.6):
+            gap = sojourn_gap_closed_form(params, x)
+            w = sojourn_vector(params, x)
+            n = int(x)
+            assert np.isfinite(gap) and gap > 0.0
+            assert gap == pytest.approx(w.at(n + 1, n + 1) - w.at(n, n), rel=GAP_TOL, abs=0.0)
+
+    def test_nan_solver_gap_fails_the_check(self, monkeypatch):
+        def nan_sojourn(params, x):
+            w = sojourn_vector(params, x)
+            return ValueVector(w.kind, np.full_like(w.values, np.nan), w.depth)
+
+        monkeypatch.setattr(paradox, "sojourn_vector", nan_sojourn)
+        with pytest.raises(ConsistencyError, match="disagrees with the solver"):
+            sojourn_gap_closed_form(ModelParams(1.0, 0.8, 0.4), 1.5)
 
 
 class TestRewardIncrease:

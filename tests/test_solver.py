@@ -281,6 +281,18 @@ class TestValueVectors:
         w = sojourn_vector_r_tagged(params, 2.6)
         np.testing.assert_allclose(vec.values, params.r0 - w.values, atol=1e-10)
 
+    def test_nan_payoff_column_fails_the_affine_check(self, monkeypatch):
+        solve = solver.solve_structured
+
+        def nan_payoffs(blocks, rhs):
+            v = solve(blocks, rhs)
+            v[:, 0] = np.nan
+            return v
+
+        monkeypatch.setattr(solver, "solve_structured", nan_payoffs)
+        with pytest.raises(ConsistencyError, match="reward-minus-sojourn disagree"):
+            payoff_vector_r_tagged(ModelParams(1.0, 0.8, 0.4, 7.8), 2.6)
+
     def test_diagonal_and_joining_mean_read_the_joining_states(self, rng):
         # the per-state reads they replaced are the reference, bit for bit
         for _ in range(10):

@@ -1,4 +1,5 @@
 import io
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -25,7 +26,7 @@ from feedbackq.welfare import (
 )
 
 from conftest import random_params
-from welfare_oracle import _grid_argmax, _marginal_root, derivative_sign_core
+from welfare_oracle import _grid_argmax, _marginal_root, derivative_sign_core, exact_slope
 
 FIG_PARAMS = ModelParams(1.0, 0.8, 0.8, 18.0)
 
@@ -138,9 +139,42 @@ class TestDerivative:
         with pytest.raises(ValueError):
             welfare_derivative(FIG_PARAMS, 2.0, "n")
 
-    def test_balanced_load_rejected(self):
-        with pytest.raises(ValueError):
-            welfare_derivative(ModelParams(0.4, 0.8, 0.5, 9.0), 2.5, "n")
+    @pytest.mark.parametrize("x", [0.5, 2.5, 7.3, 40.5])
+    @pytest.mark.parametrize("mode", ["n", "r"])
+    def test_balanced_load_matches_finite_differences(self, x, mode):
+        params = ModelParams(0.4, 0.8, 0.5, 9.0)  # rho exactly 1
+        assert params.rho == 1.0
+        h = 1e-5
+        up, down = (welfare_flow_form(params, x + s, mode) for s in (h, -h))
+        fd = (up - down) / (2 * h)
+        assert welfare_derivative(params, x, mode) == pytest.approx(fd, abs=1e-9, rel=1e-9)
+
+    def test_matches_exact_rationals_near_balanced_load(self, rng):
+        # |rho - 1| log-uniform in [1e-12, 1e-2] on both sides, and rho = 1.
+        # The error is relative to the larger of the slope and its reward-free
+        # part, since the sign core itself cancels at the optimum.
+        for i in range(200):
+            mu, q = rng.uniform(0.2, 2.0), rng.uniform(0.1, 1.0)
+            d = 0.0 if i % 20 == 0 else rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12.0, -2.0)
+            params = ModelParams(mu * q * (1.0 + d), mu, q, 10 ** rng.uniform(0.0, 3.0) / (mu * q))
+            assert (params.rho == 1.0) == (d == 0.0)
+            x = rng.uniform(0.5, 40.0)
+            for mode in ("n", "r"):
+                slope, reward_free = exact_slope(params, x, mode)
+                err = abs(Fraction(welfare_derivative(params, x, mode)) - slope)
+                assert err <= 1e-13 * max(abs(slope), abs(reward_free))
+
+    def test_matches_finite_differences_deep_near_balanced_load(self, rng):
+        h = 1e-5
+        for i in range(6):
+            mu, q = rng.uniform(0.2, 2.0), rng.uniform(0.1, 1.0)
+            d = rng.choice([-1.0, 1.0]) * 10 ** rng.uniform(-12.0, -2.0)
+            params = ModelParams(mu * q * (1.0 + d), mu, q, rng.uniform(1.0, 1e5) / (mu * q))
+            x = rng.uniform(40.0, 500.0)
+            for mode in ("n", "r"):
+                up, down = (welfare_flow_form(params, x + s, mode) for s in (h, -h))
+                value = welfare_derivative(params, x, mode)
+                assert value == pytest.approx((up - down) / (2 * h), abs=1e-6, rel=1e-6)
 
     @pytest.mark.parametrize("params,x", [(ModelParams(20.0, 1.0, 1.0, 5.0), 240.5),
                                           (ModelParams(2.0, 1.0, 1.0, 5.0), 1200.5)])

@@ -4,10 +4,14 @@
 condition at two integers.  These are the routes it replaced, kept verbatim:
 the marginal condition's root by a doubling bracket and 200 bisection steps,
 and the argmax of welfare over the integers by chain solves.  The slope's
-sign core in its closed form, which no library route reads, lives here too.
+sign core in its closed form, which no library route reads, lives here too,
+and so does the exact slope: the flow form differentiated in rational
+arithmetic.
 """
 
 from __future__ import annotations
+
+from fractions import Fraction
 
 from feedbackq import ConsistencyError, ModelParams, welfare_n
 
@@ -57,3 +61,74 @@ def derivative_sign_core(params: ModelParams, n: int) -> float:
     return params.r0 * params.lam * (rho - 1.0) ** 2 - rho * (
         1.0 - 2.0 * rho + n * (1.0 - rho) + rho ** (n + 2)
     )
+
+
+class _Dual:
+    """``v + d eps`` with ``eps^2 = 0`` over exact rationals: a value and its
+    derivative, carried together through the flow form's arithmetic."""
+
+    __slots__ = ("v", "d")
+
+    def __init__(self, v, d=0):
+        self.v, self.d = Fraction(v), Fraction(d)
+
+    @staticmethod
+    def of(x) -> "_Dual":
+        return x if isinstance(x, _Dual) else _Dual(x)
+
+    def __add__(self, other):
+        other = _Dual.of(other)
+        return _Dual(self.v + other.v, self.d + other.d)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return _Dual(-self.v, -self.d)
+
+    def __sub__(self, other):
+        return self + -_Dual.of(other)
+
+    def __rsub__(self, other):
+        return _Dual.of(other) - self
+
+    def __mul__(self, other):
+        other = _Dual.of(other)
+        return _Dual(self.v * other.v, self.d * other.v + self.v * other.d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = _Dual.of(other)
+        return _Dual(self.v / other.v, (self.d * other.v - self.v * other.d) / other.v**2)
+
+    def __rtruediv__(self, other):
+        return _Dual.of(other) / self
+
+
+def exact_slope(params: ModelParams, x: float, mode: str) -> tuple[Fraction, Fraction]:
+    """The welfare slope at a non-integer ``x`` and its reward-free part (the
+    slope at r0 = 0), exact: the flow form, reward throughput minus mean
+    queue length, differentiated in the joining probability by dual numbers
+    over rationals.  The stationary law and the abandonment probability are
+    written out from their birth-death cuts; rho is the float ``params.rho``
+    taken exactly, and lam = rho mu q."""
+    n = int(x)
+    p = _Dual(Fraction(x) - n, 1)
+    rho, mu, q, r0 = (Fraction(v) for v in (params.rho, params.mu, params.q, params.r0))
+    lam = rho * mu * q
+    weights = [rho**k for k in range(n + 1)]
+    if mode == "n":
+        top = p * rho ** (n + 1)
+    else:
+        top = lam * p / (mu * q + mu * (1 - q) * (1 - p)) * rho**n
+    total = sum(weights) + top
+    joining = (sum(weights[:n]) + p * weights[n]) / total
+    mean_len = (sum(k * w for k, w in enumerate(weights)) + (n + 1) * top) / total
+    kept = 1
+    if mode == "r":
+        # the law a failing customer sees: the stationary law shifted down by one
+        seen_full = top / (total - weights[0])
+        once = (1 - q) * (1 - p) * seen_full
+        kept = 1 - once / (1 - (1 - q) * (1 - (1 - p) * seen_full))
+    welfare = lam * r0 * joining * kept - mean_len
+    return welfare.d, -mean_len.d
