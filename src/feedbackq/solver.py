@@ -29,6 +29,7 @@ from functools import partial
 from itertools import groupby
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .model import (
     ModelParams,
@@ -57,6 +58,9 @@ RESIDUAL_TOL = 1e-10
 
 #: Admitted disagreement between a payoff solve and its reward-minus-sojourn twin.
 AFFINE_CHECK_TOL = 1e-10
+
+#: numpy's gesv gufunc on float blocks, for :func:`_solve`.
+_gesv = partial(_umath_linalg.solve, signature="dd->d")
 
 
 class ConsistencyError(RuntimeError):
@@ -120,17 +124,32 @@ def _level_system(j: int, row: np.ndarray, c: np.ndarray, up: bool) -> tuple[np.
     and phase 1's feedback to the tail in its top-right corner (on the
     diagonal at level 1), U_j the joins on its diagonal."""
     stack = row.shape[:-1]
-    balk, shift, tail, join, _ = row.T[..., None]
+    neg = 0.0 - row
     s = np.zeros(stack + (j * j,))
-    s[..., j :: j + 1] = 0.0 - shift  # entries (i, i - 1)
-    s[..., j - 1 : j] = 0.0 - tail
-    s[..., :: j + 1] = 1.0 - (balk + tail if j == 1 else balk)
+    s[..., j :: j + 1] = neg[..., 1:2]  # entries (i, i - 1)
+    s[..., j - 1 : j] = neg[..., 2:3]
+    s[..., :: j + 1] = 1.0 - (row[..., 0:1] + row[..., 2:3] if j == 1 else row[..., 0:1])
     width = (j + 1 if up else 0) + c.shape[-1]
     a = np.zeros(stack + (j, width))
     a[..., width - c.shape[-1] :] = c
     if up:
-        a.reshape(stack + (-1,))[..., :: width + 1] = join  # entries (i, i)
+        a.reshape(stack + (-1,))[..., :: width + 1] = row[..., 3:4]  # entries (i, i)
     return s.reshape(stack + (j, j)), a
+
+
+def _singular(err: str, flag: int) -> None:
+    raise LinAlgError("Singular matrix")
+
+
+def _solve(s: np.ndarray, a: np.ndarray, split: bool) -> np.ndarray:
+    """S^{-1} a by LAPACK's gesv, through the gufunc that ``np.linalg.solve``
+    calls, under the floating-point hook it sets: a singular S raises
+    ``LinAlgError``.  Same routine, same arrays, same bits; what is left out
+    is the wrapper's type checks and conversions, which on a float block of
+    a dozen rows cost more than the solve.  ``split`` solves one column at a
+    time, as :func:`_per_column` does."""
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        return _per_column(_gesv, s, a) if split else _gesv(s, a)
 
 
 def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
@@ -140,24 +159,31 @@ def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], l
     depth = blocks.depth
     width = cols.shape[1]
     rungs = blocks.rungs
+    ks: list[np.ndarray] = []
+    hs: list[np.ndarray] = []
     if rungs:
         blocks.ladder.hold(cols)
-    done = [r for r in rungs if r[0] is not None]  # a prefix: solves fill rungs from level 1 up
-    ks: list[np.ndarray] = [r[0] for r in done]
-    hs: list[np.ndarray] = [r[1] for r in done]
+        for k, h in rungs:  # a filled prefix: solves fill rungs from level 1 up
+            if k is None:
+                break
+            ks.append(k)
+            hs.append(h)
     first = _stacked_from(blocks.variant, depth) if blocks.stack else depth + 1
     lead = blocks.rates.reshape(-1, depth, 5)[0]  # below ``first`` every chain's rows are alike
-    for j in range(len(done) + 1, depth + 1):
-        o = level_offset(j)
+    o = level_offset(len(ks) + 1)
+    for j in range(len(ks) + 1, depth + 1):
         row = blocks.rates[..., j - 1, :] if j >= first else lead[j - 1]
         s, a = _level_system(j, row, cols[o : o + j], j < depth)
+        o += j
         if j > 1:  # D_j shifts rows down by one: (D_j m)[i] = dn m[i - 1], and row 0 is zero
             dn = row[..., 4, None, None]
-            s[..., 1:, :] -= dn * ks[-1]
-            a[..., 1:, -width:] += dn * hs[-1]
+            below = s[..., 1:, :]
+            below -= dn * ks[-1]
+            below = a[..., 1:, -width:]
+            below += dn * hs[-1]
         try:
-            kh = np.linalg.solve(s, a) if j < depth else _per_column(np.linalg.solve, s, a)
-        except np.linalg.LinAlgError as exc:
+            kh = _solve(s, a, j == depth)
+        except LinAlgError as exc:
             raise ConsistencyError(f"singular elimination block at level {j}") from exc
         ks.append(kh[..., :-width])
         hs.append(kh[..., -width:])
@@ -188,18 +214,25 @@ def solve_structured(blocks: QbdBlocks, rhs: np.ndarray) -> np.ndarray:
     if b.ndim not in (1, 2) or b.shape[0] != blocks.num_states or b.size == 0:
         raise ValueError(f"rhs must have {blocks.num_states} rows, got shape {b.shape}")
     cols = b.reshape(blocks.num_states, -1)
+    ladder = blocks.ladder
+    if ladder is not None:  # a repeat of the variant's last close returns its solution
+        key = blocks.threshold, b.shape, b.tobytes()
+        held = ladder.closed.pop(blocks.variant, None)
+        if held is not None and held[0] == key:
+            ladder.closed[blocks.variant] = held
+            return held[1].copy()
     ks, hs = _eliminate(blocks, cols)
     mul = np.matmul if cols.shape[1] == 1 else partial(_per_column, np.matmul)
     v = np.empty(blocks.stack + cols.shape)
-    h = hs[-1]
-    o = blocks.num_states
-    for j in range(depth, 0, -1):
+    o = level_offset(depth)
+    v[..., o:, :] = h = hs[-1]
+    for j in range(depth - 1, 0, -1):
         o -= j
-        if j < depth:
-            h = hs[j - 1] + mul(ks[j - 1], h)
-        v[..., o : o + j, :] = h
+        h = np.add(hs[j - 1], mul(ks[j - 1], h), out=v[..., o : o + j, :])
     v = v.reshape(blocks.stack + b.shape)
     _check_residual(blocks, v, b)
+    if ladder is not None:
+        ladder.closed[blocks.variant] = key, v.copy()
     return v
 
 
@@ -217,9 +250,9 @@ _FAR = np.iinfo(np.intp).max
 _TINY = np.finfo(float).tiny
 
 
-def _stencil_columns(depth: int) -> np.ndarray:
-    """The first ``num_states(depth)`` columns of the table, grown to the
-    depth if it is shallower."""
+def _stencil_columns(depth: int) -> tuple[np.ndarray, np.ndarray]:
+    """The neighbours (rows 0-4) and the levels (row 5) of the table's first
+    ``num_states(depth)`` columns, grown to the depth if it is shallower."""
     global _stencil
     size = num_states(depth)
     table = _stencil
@@ -240,7 +273,7 @@ def _stencil_columns(depth: int) -> np.ndarray:
                 ))
                 table.flags.writeable = False
                 _stencil = table
-    return table[:, :size]
+    return table[:5, :size], table[5, :size]
 
 
 def residual_norm(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> float | np.ndarray:
@@ -255,16 +288,23 @@ def residual_norm(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> float | 
     follow the order of summation.  A nonfinite entry in v gives a nan or
     infinite norm, which fails the check, and no floating-point warning.
     """
-    cols = np.reshape(rhs, (len(rhs), -1))
-    v = np.reshape(v, blocks.stack + cols.shape)
-    table = _stencil_columns(blocks.depth)
-    padded = np.concatenate((v, np.zeros(blocks.stack + (1, cols.shape[1]))), axis=-2)
-    near = np.take(padded, table[:5], axis=-2, mode="clip")
+    cols = np.asarray(rhs)
+    cols = cols.reshape(len(cols), -1)
+    size = len(cols)
+    near, level = _stencil_columns(blocks.depth)
+    padded = np.zeros(blocks.stack + (size + 1, cols.shape[1]))
+    padded[..., :size, :] = np.asarray(v).reshape(blocks.stack + cols.shape)
+    v = padded[..., :size, :]
+    near = padded.take(near, axis=-2, mode="clip")
+    rates = blocks.rates.take(level, axis=-2).swapaxes(-1, -2)[..., None]
     scale = np.maximum(np.abs(cols).max(axis=0), _TINY)
     with np.errstate(invalid="ignore", over="ignore"):  # a nonfinite v gives a nonfinite norm
-        terms = np.take(blocks.rates.swapaxes(-1, -2), table[5], axis=-1)[..., None] * near
-        r = v - terms[..., :3, :, :].sum(axis=-3) - cols - terms[..., 3, :, :] - terms[..., 4, :, :]
-        res = (np.abs(r).max(axis=-2) / scale).max(axis=-1)
+        terms = rates * near
+        r = v - terms[..., :3, :, :].sum(axis=-3)
+        r -= cols
+        r -= terms[..., 3, :, :]
+        r -= terms[..., 4, :, :]
+        res = (np.abs(r, out=r) / scale).max(axis=(-2, -1))
     return res if blocks.stack else float(res)
 
 

@@ -1,5 +1,6 @@
 import sys
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -27,7 +28,7 @@ from feedbackq.solver import RESIDUAL_TOL, _check_residual, _eliminate, payoff_v
 
 from conftest import REFERENCE_CASES, params_of, random_params
 from dense_oracle import assemble_full, level_blocks, solve_dense
-from residual_oracle import residual_norm_blockwise
+from residual_oracle import residual_norm_blockwise, residual_norm_reference
 
 
 def all_builders(params, x):
@@ -118,6 +119,62 @@ class TestElimination:
         z = payoff_vector_r_tagged(params.with_r0(5.0), 0.0)
         assert z.depth == 1
         assert z.at(1, 1) == pytest.approx(5.0 - 1.0 / (0.8 * 0.4))
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_a_singular_block_names_its_level(self, monkeypatch, stacked):
+        # the last chain's S_3 loses its first row, which D_3 leaves alone: LAPACK reports it through the
+        # solve's floating-point hook, as LinAlgError and with no RuntimeWarning,
+        # and the elimination names the level
+        expand = solver._level_system
+
+        def singular(j, row, c, up):
+            s, a = expand(j, row, c, up)
+            if j == 3:
+                s.reshape(-1, j, j)[-1, 0] = 0.0
+            return s, a
+
+        monkeypatch.setattr(solver, "_level_system", singular)
+        params = ModelParams(1.0, 0.8, 0.4, 7.8)
+        for variant in VARIANTS:
+            blocks = build_chain(params, [3.25, 3.5] if stacked else 3.5, variant)
+            assert blocks.depth >= 3 and qbd._stacked_from(variant, blocks.depth) <= 3
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                with pytest.raises(ConsistencyError, match="singular elimination block at level 3$"):
+                    solve_structured(blocks, build_rhs_sojourn(params, blocks.depth))
+
+    def test_the_solve_helper_returns_numpy_solves_bytes(self, rng, monkeypatch):
+        # every block an elimination solves, of all three variants, single
+        # chains and stacks, with one to three columns: the helper returns
+        # np.linalg.solve's bytes, one column at a time where it splits
+        calls = []
+        solve = solver._solve
+
+        def record(s, a, split):
+            calls.append((s.copy(), a.copy(), split))
+            return solve(s, a, split)
+
+        monkeypatch.setattr(solver, "_solve", record)
+        kinds = set()
+        for _ in range(10):
+            params = random_params(rng, r0_span=(0.0, 20.0))
+            for variant in VARIANTS:
+                reneging = variant != "nonreneging"
+                xs = stack_of_depth(rng, reneging, int(rng.integers(2, 9)), 2)
+                for th in (xs, xs[-1]):
+                    blocks = build_chain(params, th, variant)
+                    for width in (1, 2, 3):
+                        _eliminate(blocks, rng.uniform(-1.0, 1.0, (blocks.num_states, width)))
+                        kinds.add((variant, th is xs, width))
+        assert len(kinds) == 18
+        assert {(split, a.shape[-1]) for _, a, split in calls if split} == {(True, 1), (True, 2), (True, 3)}
+        for s, a, split in calls:
+            if split:
+                cols = [np.linalg.solve(s, a[..., i : i + 1]) for i in range(a.shape[-1])]
+                want = np.concatenate(cols, axis=-1)
+            else:
+                want = np.linalg.solve(s, a)
+            assert solve(s, a, split).tobytes() == want.tobytes()
 
     def test_multi_column_rhs_matches_single_columns_bit_for_bit(self, rng):
         for _ in range(10):
@@ -583,6 +640,54 @@ class TestLadder:
             assert nash_n(params, ladder=sojourn[params]) == nash_n(params)
             assert nash_r(params, ladder=sojourn[params]) == nash_r(params)
 
+    def test_a_repeated_close_returns_the_held_solution(self, monkeypatch):
+        # each variant's last close on a ladder is held: a repeat of it, same
+        # threshold and right-hand side, returns a copy of its solution and
+        # eliminates nothing; any other close of the variant replaces it
+        params = ModelParams(1.0, 0.8, 0.4, 7.8)
+        closed = []
+        eliminate = solver._eliminate
+
+        def counted(blocks, cols):
+            closed.append((blocks.variant, blocks.threshold))
+            return eliminate(blocks, cols)
+
+        monkeypatch.setattr(solver, "_eliminate", counted)
+        ladder = Ladder(params)
+
+        def close(x, variant="nonreneging", column=False):
+            blocks = build_chain(params, x, variant, ladder)
+            rhs = build_rhs_sojourn(params, blocks.depth)
+            return solve_structured(blocks, rhs[:, None] if column else rhs)
+
+        v = close(4.5)
+        w = close(4.5)
+        assert w is not v and w.tobytes() == v.tobytes() and len(closed) == 1
+        w[:] = 0.0  # a caller's edit does not reach the held copy
+        tagged = close(4.5, "reneging_tagged")  # held beside the other variant's
+        assert close(4.5).tobytes() == v.tobytes() and len(closed) == 2
+        assert close(4.5, "reneging_tagged").tobytes() == tagged.tobytes() and len(closed) == 2
+        close(4.25)
+        assert close(4.5).tobytes() == v.tobytes() and len(closed) == 4
+        assert close(4.5, column=True).shape == (v.size, 1) and len(closed) == 5
+        np.testing.assert_array_equal(close([4.25, 4.5])[1], v)
+        assert len(closed) == 6
+        # without a ladder nothing is held
+        blocks = build_chain(params, 4.5, "nonreneging")
+        solve_structured(blocks, build_rhs_sojourn(params, 6))
+        solve_structured(blocks, build_rhs_sojourn(params, 6))
+        assert len(closed) == 8
+
+    def test_the_paired_ladder_follows_the_reward(self):
+        params = ModelParams(1.0, 0.8, 0.4, 7.8)
+        ladder = Ladder(params)
+        pair = ladder.paired(params)
+        assert pair is not ladder and pair.params == params and ladder.paired(params) is pair
+        other = ladder.paired(params.with_r0(3.0))
+        assert other is not pair and other.params.r0 == 3.0 and ladder.paired(params) is not pair
+        with pytest.raises(ValueError, match="another rate point"):
+            ladder.paired(ModelParams(1.0, 0.8, 0.5, 7.8))
+
     def test_rejects_another_rate_point_or_layout(self):
         params = ModelParams(1.0, 0.8, 0.4, 7.8)
         ladder = Ladder(params)
@@ -621,6 +726,30 @@ class TestStencilResidual:
                     for u, rhs in ((v, pair), (v[..., 0], pair[:, 0]), (noise, pair)):
                         got, want = residual_norm(blocks, u, rhs), residual_norm_blockwise(blocks, u, rhs)
                         np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-13)
+
+    def test_equals_the_earlier_form_byte_for_byte(self, rng, monkeypatch):
+        # solved, perturbed and nonfinite vectors, single chains and stacks,
+        # one and two columns, at lam/mu up to 1e6, where the measure sits at
+        # its rounding floor and a verdict would follow any change of order
+        monkeypatch.setattr(solver, "_check_residual", lambda *args: None)
+        for _ in range(150):
+            mu, q = rng.uniform(0.2, 2.0), rng.uniform(0.05, 1.0)
+            params = ModelParams(mu * 10.0 ** rng.uniform(-3.0, 6.0), mu, q, rng.uniform(1.0, 60.0) / (mu * q))
+            x = float(rng.uniform(0.0, 14.0))
+            for variant in VARIANTS:
+                reneging = variant != "nonreneging"
+                depth = chain_depth(qbd.as_threshold(x), reneging)
+                pair = layout_rhs(params, "pair", depth)
+                for th in [x] + ([stack_of_depth(rng, reneging, depth, 2)] if depth > 1 else []):
+                    blocks = build_chain(params, th, variant)
+                    v = solve_structured(blocks, pair)
+                    bad = v.copy()
+                    bad.reshape(-1)[rng.integers(bad.size)] = (np.nan, np.inf, -np.inf)[rng.integers(3)]
+                    nudged = v * (1.0 + 1e-12 * rng.uniform(-1.0, 1.0, v.shape))
+                    for u, rhs in ((v, pair), (v[..., 0], pair[:, 0]), (bad, pair), (nudged, pair)):
+                        got, want = residual_norm(blocks, u, rhs), residual_norm_reference(blocks, u, rhs)
+                        assert type(got) is type(want)
+                        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
     def test_an_expansion_fault_fails_the_solve(self, monkeypatch):
         # the check reads the level rates, not the blocks the solve expanded
