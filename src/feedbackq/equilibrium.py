@@ -206,7 +206,7 @@ def _mixed_root(
     """
     j = m + 1
     if reneging:
-        pair = ladder.paired(params)
+        pair = Ladder(params)
 
         def objective(x: float) -> float:
             return payoff_vector_r_tagged(params, x, ladder=pair).at(j, j)
@@ -372,24 +372,19 @@ def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
     )
 
 
-def equilibrium_payoffs_r(
-    params: ModelParams, result: EquilibriumResult, *, ladder: Ladder | None = None
-) -> ValueVector:
+def equilibrium_payoffs_r(params: ModelParams, result: EquilibriumResult) -> ValueVector:
     """Equilibrium payoffs when reneging is allowed.
 
     For mixed equilibria the all-reneging payoffs coincide with the
     never-renege-tagged payoffs, because the tagged customer's payoff at the
     boundary position is exactly zero there; both routes are computed and
-    must agree.  On the ``ladder`` that :func:`nash_r` found the root on,
-    the never-renege-tagged route reads the root search's last close.
+    must agree.
     """
     if result.mode != "r":
         raise ValueError("expected a reneging-game equilibrium result")
     if result.case == CASE_MIXED:
         direct = payoff_vector_r_all(params, result.x)
-        via_tagged = payoff_vector_r_tagged(
-            params, result.x, ladder=ladder.paired(params) if ladder else None
-        )
+        via_tagged = payoff_vector_r_tagged(params, result.x)
         gap = float(np.max(np.abs(direct.values - via_tagged.values)))
         if not gap <= PAYOFF_AGREEMENT_TOL * max(1.0, float(np.max(np.abs(direct.values)))):
             raise ConsistencyError(f"reneging equilibrium payoff routes disagree by {gap:.3e}")

@@ -157,7 +157,7 @@ def paradox2_check(params: ModelParams) -> ParadoxReport:
         )
     m = res_r.m
     z = next(payoff_vectors(params, [res_n.x], False, ladder))
-    z_hat = equilibrium_payoffs_r(params, res_r, ladder=ladder)
+    z_hat = equilibrium_payoffs_r(params, res_r)
     dist_n = stationary_threshold(params, res_n.x, "n").probs
     dist_r = stationary_threshold(params, res_r.x, "r").probs
 

@@ -27,14 +27,15 @@ the ``reneging_all`` variant the top-level phase-1 row additionally loses
 the renege mass ``mu (1-q)(1-p) / (lam + mu)``.
 
 Each level follows one rule (:func:`_level_rates`): five jump rates, and
-``QbdBlocks.rates`` holds them, the chain's only stored form.  The
-structured solver (:func:`feedbackq.solver.solve_structured`) eliminates the
-levels one by one, from level 1 up, expanding each level's blocks from its
-rates only when it reaches it, and never assembles the full matrix; its
-residual check reads the rates directly, so a fault in that expansion fails
-the check.  The dense assembly used as the solver's oracle lives with the
-tests.  Chains built on one :class:`Ladder` share the eliminations of their
-all-joining levels.
+``QbdBlocks.rates`` holds them, the chain's only stored form.  The structured
+solver (:func:`feedbackq.solver.solve_structured`) eliminates the levels one
+by one, from level 1 up, expanding each level's blocks from its rates only
+when it reaches it, and never assembles the full matrix; it solves each block
+by LAPACK's gesv without ``np.linalg.solve``'s wrapper (``solver._solve``),
+whose checks cost more than so small a solve.  Its residual check reads the
+rates directly, so a fault in that expansion fails the check.  The dense
+assembly used as the solver's oracle lives with the tests.  Chains built on
+one :class:`Ladder` share the eliminations of their all-joining levels.
 """
 
 from __future__ import annotations
@@ -100,26 +101,12 @@ class Ladder:
     ``joining``, extended on demand.  A rung is ``[k, h]``; the first solve
     through it fills both.  ``critical`` holds the critical values closed on
     the ladder, keyed by m (:func:`feedbackq.equilibrium.critical_values`).
-    ``closed`` holds each variant's last close, keyed by its threshold and
-    right-hand side, which a repeat of it returns
-    (:func:`feedbackq.solver.solve_structured`); ``pair`` is the ladder of
-    the reneging game's [payoff | sojourn] layout (:meth:`paired`).
     """
 
     params: ModelParams
     joining: list[list] = field(default_factory=list)
     cols: np.ndarray | None = None
     critical: dict = field(default_factory=dict)
-    closed: dict = field(default_factory=dict)
-    pair: Ladder | None = None
-
-    def paired(self, params: ModelParams) -> Ladder:
-        """The ladder at this rate point for the [payoff | sojourn] layout at
-        ``params``' reward, kept until a call at another reward replaces it."""
-        self.admit(params)
-        if self.pair is None or self.pair.params.r0 != params.r0:
-            self.pair = Ladder(params)
-        return self.pair
 
     def admit(self, params: ModelParams) -> None:
         """Admit only parameters at the ladder's rate point."""
@@ -208,10 +195,8 @@ def build_chain(
         ladder.admit(params)
         n = branch_parts(ths[0])[0]
         shared = max(min(n, _stacked_from(variant, depth)) if stacked else n, 1) - 1
-        joining = ladder.joining
-        while len(joining) < shared:
-            joining.append([None, None])
-        rungs = tuple(joining[:shared])
+        ladder.joining += [[None, None] for _ in range(len(ladder.joining), shared)]
+        rungs = tuple(ladder.joining[:shared])
     th, stack = (ths, (len(ths),)) if stacked else (ths[0], ())
     rates = np.array([rows(t) for t in ths] if stacked else rows(ths[0]), dtype=float)
     return QbdBlocks(variant, depth, th, rates, stack, ladder, rungs)

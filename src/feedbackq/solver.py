@@ -6,8 +6,11 @@ QBDs (Gaver, Jacobs & Latouche 1984): one forward block elimination from
 level 1 upward, then back-substitution, for any number of right-hand-side
 columns and for a stack of thresholds that share a chain depth.  The chain
 is its jump rates (``QbdBlocks.rates``): the elimination expands a level's
-I - L_j and U_j from its row only when it reaches the level, and applies the
-departure block D_j, one nonzero per row, as the row shift it is.  A chain
+I - L_j and U_j from its row only when it reaches the level, applies the
+departure block D_j, one nonzero per row, as the row shift it is, and solves
+the level with :func:`_solve`: LAPACK's gesv through the gufunc that
+``np.linalg.solve`` calls, without that wrapper, whose per-call type checks
+cost more than the solve of a block this small and change no bit.  A chain
 built on a :class:`~feedbackq.qbd.Ladder` starts its elimination above the
 rungs already eliminated; every chain is back-substituted in full, and every
 column must meet ``RESIDUAL_TOL``.  :func:`residual_norm` checks a solve in a
@@ -15,9 +18,9 @@ fixed number of array operations whatever the depth: it reads each state's
 five neighbours through one read-only stencil table, shared by every chain,
 and weights them by the rates themselves rather than by the blocks the
 elimination expanded.  The tests cross-check the solver against a dense
-elimination oracle (``tests/dense_oracle.py``, which expands the rates by its
-own rule) and a truncated series of ``sum_d P^d b``, and the residual
-against its blockwise form (``tests/residual_oracle.py``).
+elimination oracle (``tests/dense_oracle.py``) and a series of
+``sum_d P^d b``, and the residual against its blockwise and earlier forms
+(``tests/residual_oracle.py``).
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby
+from itertools import groupby, takewhile
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -59,8 +62,7 @@ RESIDUAL_TOL = 1e-10
 #: Admitted disagreement between a payoff solve and its reward-minus-sojourn twin.
 AFFINE_CHECK_TOL = 1e-10
 
-#: numpy's gesv gufunc on float blocks, for :func:`_solve`.
-_gesv = partial(_umath_linalg.solve, signature="dd->d")
+_gesv = partial(_umath_linalg.solve, signature="dd->d")  # LAPACK's gesv on float blocks
 
 
 class ConsistencyError(RuntimeError):
@@ -142,12 +144,9 @@ def _singular(err: str, flag: int) -> None:
 
 
 def _solve(s: np.ndarray, a: np.ndarray, split: bool) -> np.ndarray:
-    """S^{-1} a by LAPACK's gesv, through the gufunc that ``np.linalg.solve``
-    calls, under the floating-point hook it sets: a singular S raises
-    ``LinAlgError``.  Same routine, same arrays, same bits; what is left out
-    is the wrapper's type checks and conversions, which on a float block of
-    a dozen rows cost more than the solve.  ``split`` solves one column at a
-    time, as :func:`_per_column` does."""
+    """S^{-1} a by the gesv gufunc that ``np.linalg.solve`` wraps, under the
+    hook it sets, so a singular S raises ``LinAlgError``; ``split`` solves
+    one column at a time, as :func:`_per_column` does."""
     with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
         return _per_column(_gesv, s, a) if split else _gesv(s, a)
 
@@ -159,15 +158,10 @@ def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], l
     depth = blocks.depth
     width = cols.shape[1]
     rungs = blocks.rungs
-    ks: list[np.ndarray] = []
-    hs: list[np.ndarray] = []
     if rungs:
         blocks.ladder.hold(cols)
-        for k, h in rungs:  # a filled prefix: solves fill rungs from level 1 up
-            if k is None:
-                break
-            ks.append(k)
-            hs.append(h)
+    done = list(takewhile(lambda rung: rung[0] is not None, rungs))  # solves fill rungs from level 1 up
+    ks, hs = [k for k, _ in done], [h for _, h in done]
     first = _stacked_from(blocks.variant, depth) if blocks.stack else depth + 1
     lead = blocks.rates.reshape(-1, depth, 5)[0]  # below ``first`` every chain's rows are alike
     o = level_offset(len(ks) + 1)
@@ -214,13 +208,6 @@ def solve_structured(blocks: QbdBlocks, rhs: np.ndarray) -> np.ndarray:
     if b.ndim not in (1, 2) or b.shape[0] != blocks.num_states or b.size == 0:
         raise ValueError(f"rhs must have {blocks.num_states} rows, got shape {b.shape}")
     cols = b.reshape(blocks.num_states, -1)
-    ladder = blocks.ladder
-    if ladder is not None:  # a repeat of the variant's last close returns its solution
-        key = blocks.threshold, b.shape, b.tobytes()
-        held = ladder.closed.pop(blocks.variant, None)
-        if held is not None and held[0] == key:
-            ladder.closed[blocks.variant] = held
-            return held[1].copy()
     ks, hs = _eliminate(blocks, cols)
     mul = np.matmul if cols.shape[1] == 1 else partial(_per_column, np.matmul)
     v = np.empty(blocks.stack + cols.shape)
@@ -231,8 +218,6 @@ def solve_structured(blocks: QbdBlocks, rhs: np.ndarray) -> np.ndarray:
         h = np.add(hs[j - 1], mul(ks[j - 1], h), out=v[..., o : o + j, :])
     v = v.reshape(blocks.stack + b.shape)
     _check_residual(blocks, v, b)
-    if ladder is not None:
-        ladder.closed[blocks.variant] = key, v.copy()
     return v
 
 
@@ -288,23 +273,17 @@ def residual_norm(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> float | 
     follow the order of summation.  A nonfinite entry in v gives a nan or
     infinite norm, which fails the check, and no floating-point warning.
     """
-    cols = np.asarray(rhs)
-    cols = cols.reshape(len(cols), -1)
-    size = len(cols)
+    cols = np.asarray(rhs).reshape(len(rhs), -1)
     near, level = _stencil_columns(blocks.depth)
-    padded = np.zeros(blocks.stack + (size + 1, cols.shape[1]))
-    padded[..., :size, :] = np.asarray(v).reshape(blocks.stack + cols.shape)
-    v = padded[..., :size, :]
+    padded = np.zeros(blocks.stack + (len(cols) + 1, cols.shape[1]))
+    padded[..., :-1, :] = np.asarray(v).reshape(blocks.stack + cols.shape)
+    v = padded[..., :-1, :]
     near = padded.take(near, axis=-2, mode="clip")
-    rates = blocks.rates.take(level, axis=-2).swapaxes(-1, -2)[..., None]
     scale = np.maximum(np.abs(cols).max(axis=0), _TINY)
     with np.errstate(invalid="ignore", over="ignore"):  # a nonfinite v gives a nonfinite norm
-        terms = rates * near
-        r = v - terms[..., :3, :, :].sum(axis=-3)
-        r -= cols
-        r -= terms[..., 3, :, :]
-        r -= terms[..., 4, :, :]
-        res = (np.abs(r, out=r) / scale).max(axis=(-2, -1))
+        terms = blocks.rates.take(level, axis=-2).swapaxes(-1, -2)[..., None] * near
+        r = v - terms[..., :3, :, :].sum(axis=-3) - cols - terms[..., 3, :, :] - terms[..., 4, :, :]
+        res = (np.abs(r) / scale).max(axis=(-2, -1))
     return res if blocks.stack else float(res)
 
 

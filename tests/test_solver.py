@@ -640,54 +640,6 @@ class TestLadder:
             assert nash_n(params, ladder=sojourn[params]) == nash_n(params)
             assert nash_r(params, ladder=sojourn[params]) == nash_r(params)
 
-    def test_a_repeated_close_returns_the_held_solution(self, monkeypatch):
-        # each variant's last close on a ladder is held: a repeat of it, same
-        # threshold and right-hand side, returns a copy of its solution and
-        # eliminates nothing; any other close of the variant replaces it
-        params = ModelParams(1.0, 0.8, 0.4, 7.8)
-        closed = []
-        eliminate = solver._eliminate
-
-        def counted(blocks, cols):
-            closed.append((blocks.variant, blocks.threshold))
-            return eliminate(blocks, cols)
-
-        monkeypatch.setattr(solver, "_eliminate", counted)
-        ladder = Ladder(params)
-
-        def close(x, variant="nonreneging", column=False):
-            blocks = build_chain(params, x, variant, ladder)
-            rhs = build_rhs_sojourn(params, blocks.depth)
-            return solve_structured(blocks, rhs[:, None] if column else rhs)
-
-        v = close(4.5)
-        w = close(4.5)
-        assert w is not v and w.tobytes() == v.tobytes() and len(closed) == 1
-        w[:] = 0.0  # a caller's edit does not reach the held copy
-        tagged = close(4.5, "reneging_tagged")  # held beside the other variant's
-        assert close(4.5).tobytes() == v.tobytes() and len(closed) == 2
-        assert close(4.5, "reneging_tagged").tobytes() == tagged.tobytes() and len(closed) == 2
-        close(4.25)
-        assert close(4.5).tobytes() == v.tobytes() and len(closed) == 4
-        assert close(4.5, column=True).shape == (v.size, 1) and len(closed) == 5
-        np.testing.assert_array_equal(close([4.25, 4.5])[1], v)
-        assert len(closed) == 6
-        # without a ladder nothing is held
-        blocks = build_chain(params, 4.5, "nonreneging")
-        solve_structured(blocks, build_rhs_sojourn(params, 6))
-        solve_structured(blocks, build_rhs_sojourn(params, 6))
-        assert len(closed) == 8
-
-    def test_the_paired_ladder_follows_the_reward(self):
-        params = ModelParams(1.0, 0.8, 0.4, 7.8)
-        ladder = Ladder(params)
-        pair = ladder.paired(params)
-        assert pair is not ladder and pair.params == params and ladder.paired(params) is pair
-        other = ladder.paired(params.with_r0(3.0))
-        assert other is not pair and other.params.r0 == 3.0 and ladder.paired(params) is not pair
-        with pytest.raises(ValueError, match="another rate point"):
-            ladder.paired(ModelParams(1.0, 0.8, 0.5, 7.8))
-
     def test_rejects_another_rate_point_or_layout(self):
         params = ModelParams(1.0, 0.8, 0.4, 7.8)
         ladder = Ladder(params)
