@@ -167,7 +167,7 @@ class TestElimination:
                         _eliminate(blocks, rng.uniform(-1.0, 1.0, (blocks.num_states, width)))
                         kinds.add((variant, th is xs, width))
         assert len(kinds) == 18
-        assert {(split, a.shape[-1]) for _, a, split in calls if split} == {(True, 1), (True, 2), (True, 3)}
+        assert {a.shape[-1] for _, a, split in calls if split} == {1, 2, 3}
         for s, a, split in calls:
             if split:
                 cols = [np.linalg.solve(s, a[..., i : i + 1]) for i in range(a.shape[-1])]
