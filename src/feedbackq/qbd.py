@@ -195,7 +195,8 @@ def build_chain(
         ladder.admit(params)
         n = branch_parts(ths[0])[0]
         shared = max(min(n, _stacked_from(variant, depth)) if stacked else n, 1) - 1
-        ladder.joining += [[None, None] for _ in range(len(ladder.joining), shared)]
+        while len(ladder.joining) < shared:
+            ladder.joining.append([None, None])
         rungs = tuple(ladder.joining[:shared])
     th, stack = (ths, (len(ths),)) if stacked else (ths[0], ())
     rates = np.array([rows(t) for t in ths] if stacked else rows(ths[0]), dtype=float)

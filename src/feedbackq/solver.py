@@ -144,9 +144,8 @@ def _singular(err: str, flag: int) -> None:
 
 
 def _solve(s: np.ndarray, a: np.ndarray, split: bool) -> np.ndarray:
-    """S^{-1} a by the gesv gufunc that ``np.linalg.solve`` wraps, under the
-    hook it sets, so a singular S raises ``LinAlgError``; ``split`` solves
-    one column at a time, as :func:`_per_column` does."""
+    """S^{-1} a by the gesv gufunc ``np.linalg.solve`` wraps, under its hook: a
+    singular S raises ``LinAlgError``.  ``split`` solves column by column."""
     with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
         return _per_column(_gesv, s, a) if split else _gesv(s, a)
 
@@ -171,7 +170,7 @@ def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], l
         o += j
         if j > 1:  # D_j shifts rows down by one: (D_j m)[i] = dn m[i - 1], and row 0 is zero
             dn = row[..., 4, None, None]
-            below = s[..., 1:, :]
+            below = s[..., 1:, :]  # updated in place, not stored back through a subscript
             below -= dn * ks[-1]
             below = a[..., 1:, -width:]
             below += dn * hs[-1]
