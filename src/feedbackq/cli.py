@@ -41,7 +41,7 @@ from .solver import (
     payoff_vector_r_tagged,
     sojourn_vector,
 )
-from .welfare import curve_to_csv, is_unimodal, welfare_curve
+from .welfare import GRID_LIMIT, curve_to_csv, is_unimodal, welfare_curve
 
 _TOLERANCES = {"residual": RESIDUAL_TOL, "root": ROOT_TOL}
 
@@ -61,22 +61,14 @@ def _record(command: str, params: ModelParams, result, diagnostics=None) -> dict
 
 
 def _emit(record: dict) -> None:
-    print(json.dumps(_plain(record), sort_keys=True))
+    print(json.dumps(record, sort_keys=True, default=_plain))
 
 
 def _plain(obj):
-    """Recursively convert dataclasses/arrays to JSON-serialisable values."""
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        return _plain(dataclasses.asdict(obj))
-    if isinstance(obj, dict):
-        return {str(k): _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
-    return obj
+    """A numpy array or scalar as the Python values ``json`` writes."""
+    if isinstance(obj, (np.ndarray, np.generic)):
+        return obj.tolist()
+    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
 
 
 def _equilibrium_payload(res: EquilibriumResult) -> dict:
@@ -157,6 +149,10 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
             diagnostics[f"nash_{mode}_root"] = res.residual
     if args.ess:
         base = result.get("n") or result.get("r")
+        if not (base["x"] + 2.0) / args.ess_step < GRID_LIMIT:
+            raise ValueError(
+                f"--ess-step gives more than GRID_LIMIT = {GRID_LIMIT} steps, got {args.ess_step}"
+            )
         grid = np.round(np.arange(0.0, base["x"] + 2.0 + 1e-9, args.ess_step), 12)
         report = ess_check(params, base["x"], grid)
         result["ess"] = {k: v for k, v in dataclasses.asdict(report).items() if k != "x"}
@@ -202,7 +198,7 @@ def cmd_paradox(args: argparse.Namespace) -> int:
         report = paradox1_check(params, base.m, params.r0, args.r0_2)
     else:
         report = paradox2_check(params)
-    payload = _plain(report)
+    payload = dataclasses.asdict(report)
     payload["all_hold"] = report.all_hold
     _emit(_record("paradox", params, payload))
     return 0 if report.all_hold else 1

@@ -275,12 +275,12 @@ def _nash(params: ModelParams, reneging: bool, ladder: Ladder) -> EquilibriumRes
     if abs(r0 - cv.alpha) <= TIE_TOL * cv.alpha:
         case, interval = CASE_INDIFFERENCE, (0.0, 1.0)
     elif r0 >= cv.alpha:
-        m, nxt = 1, None  # nxt: the critical values at m + 1, once closed
+        m = 1
         while r0 > cv.beta:
             nxt = critical_values(params, m + 1, with_gamma=False, ladder=ladder)
             if r0 < nxt.alpha:
                 break
-            m, cv, nxt = m + 1, nxt, None
+            m, cv = m + 1, nxt
             if m > 100_000:  # alpha_m >= m / mu, so this is unreachable
                 raise ConsistencyError("equilibrium search failed to terminate")
     cv = critical_values(params, cv.m, ladder=ladder)
@@ -290,8 +290,8 @@ def _nash(params: ModelParams, reneging: bool, ladder: Ladder) -> EquilibriumRes
             case, x = CASE_PURE, float(m)
         else:
             case = CASE_MIXED
-            nxt = nxt or critical_values(params, m + 1, with_gamma=False, ladder=ladder)
-            x, residual, evals = _mixed_root(params, m, lower, nxt.alpha, reneging, ladder)
+            alpha_next = critical_values(params, m + 1, with_gamma=False, ladder=ladder).alpha
+            x, residual, evals = _mixed_root(params, m, lower, alpha_next, reneging, ladder)
     return EquilibriumResult(
         "r" if reneging else "n", case, x, m=m, interval=interval, critical=cv,
         residual=residual, root_evals=evals,

@@ -34,8 +34,9 @@ when it reaches it, and never assembles the full matrix; it solves each block
 by LAPACK's gesv without ``np.linalg.solve``'s wrapper (``solver._solve``),
 whose checks cost more than so small a solve.  Its residual check reads the
 rates directly, so a fault in that expansion fails the check.  The dense
-assembly used as the solver's oracle lives with the tests.  Chains built on
-one :class:`Ladder` share the eliminations of their all-joining levels.
+assembly used as the solver's oracle lives with the tests.  Every chain at
+one rate point joins alike below floor(x) (``QbdBlocks.shared``); the solver
+eliminates those levels once per stack and once per :class:`Ladder`.
 """
 
 from __future__ import annotations
@@ -72,9 +73,9 @@ class QbdBlocks:
     and the block D_j to level j - 1 (the departures on its sub-diagonal),
     and nothing else; the solver expands them level by level.  For a stack
     of k thresholds (``threshold`` a tuple) ``rates`` has shape
-    (k, depth, 5); the rows differ only from :func:`_stacked_from` up.  On a
-    ladder the all-joining levels below floor(x) are its shared ``rungs``,
-    and share one row of rates.
+    (k, depth, 5).  Levels 1 .. ``shared``, the all-joining levels below the
+    smallest floor(x) of the stack, have one row of rates in every chain at
+    the rate point; on a ``ladder`` they are its rungs.
     """
 
     variant: str
@@ -83,7 +84,7 @@ class QbdBlocks:
     rates: np.ndarray
     stack: tuple[int, ...] = ()  # leading shape of a solution: (k,) for k thresholds
     ladder: Ladder | None = None
-    rungs: tuple[list, ...] = ()  # the ladder's rungs of levels 1, 2, ...
+    shared: int = 0
 
     @property
     def num_states(self) -> int:
@@ -97,14 +98,15 @@ class Ladder:
     One rate point means equal (lam, mu, q); the reward may differ.
 
     Below n = floor(x) every variant at every threshold has the same
-    all-joining levels, hence the same k_j and h_j: one rung each in
-    ``joining``, extended on demand.  A rung is ``[k, h]``; the first solve
-    through it fills both.  ``critical`` holds the critical values closed on
-    the ladder, keyed by m (:func:`feedbackq.equilibrium.critical_values`).
+    all-joining levels, hence the same k_j and h_j: one rung ``(k, h)`` each
+    in ``joining``, levels 1, 2, ... in order, appended by the first solve
+    that eliminates the level (``QbdBlocks.shared``).  ``critical`` holds
+    the critical values closed on the ladder, keyed by m
+    (:func:`feedbackq.equilibrium.critical_values`).
     """
 
     params: ModelParams
-    joining: list[list] = field(default_factory=list)
+    joining: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     cols: np.ndarray | None = None
     critical: dict = field(default_factory=dict)
 
@@ -120,14 +122,6 @@ class Ladder:
             raise ValueError("a ladder serves one right-hand-side layout")
         if self.cols is None or len(cols) > len(held):
             self.cols = cols.copy()
-
-
-def _stacked_from(variant: str, depth: int) -> int:
-    """The first level of a depth's chains that the fractional part p
-    touches, from which a stack's rates differ: ``depth - 2`` without
-    reneging (an integer x = k reads as n = k - 1, p = 1 there, which gives
-    the same rates), ``depth - 1`` with it."""
-    return depth - (2 if variant == VARIANT_NONRENEGING else 1)
 
 
 def _level_rates(
@@ -168,9 +162,8 @@ def build_chain(
     (zero for an integer x), and otherwise departs; the tagged customer does
     so too in ``reneging_all`` and always rejoins in ``reneging_tagged``.
 
-    Chains of one depth differ only at the levels p touches
-    (:func:`_stacked_from`); a stack's rows differ from there up.  On a
-    ``ladder`` the all-joining levels below n and below those are its rungs.
+    The all-joining levels below the smallest n = floor(x) are the chain's
+    ``shared`` levels; on a ``ladder`` they are its rungs.
     """
     if variant not in (VARIANT_NONRENEGING, VARIANT_RENEGING_TAGGED, VARIANT_RENEGING_ALL):
         raise ValueError(f"unknown chain variant {variant!r}")
@@ -190,17 +183,12 @@ def build_chain(
         own = [_level_rates(j, n, p, jumps, top, tagged_reneges) for j in range(max(n - 1, 1), depth + 1)]
         return own[:1] * (n - 2) + own  # every level below n joins alike
 
-    rungs = ()
     if ladder is not None:
         ladder.admit(params)
-        n = branch_parts(ths[0])[0]
-        shared = max(min(n, _stacked_from(variant, depth)) if stacked else n, 1) - 1
-        while len(ladder.joining) < shared:
-            ladder.joining.append([None, None])
-        rungs = tuple(ladder.joining[:shared])
+    shared = max(min(th.n for th in ths), 1) - 1
     th, stack = (ths, (len(ths),)) if stacked else (ths[0], ())
     rates = np.array([rows(t) for t in ths] if stacked else rows(ths[0]), dtype=float)
-    return QbdBlocks(variant, depth, th, rates, stack, ladder, rungs)
+    return QbdBlocks(variant, depth, th, rates, stack, ladder, shared)
 
 
 def build_rhs_payoff(params: ModelParams, depth: int) -> np.ndarray:

@@ -10,10 +10,12 @@ I - L_j and U_j from its row only when it reaches the level, applies the
 departure block D_j, one nonzero per row, as the row shift it is, and solves
 the level with :func:`_solve`: LAPACK's gesv through the gufunc that
 ``np.linalg.solve`` calls, without that wrapper, whose per-call type checks
-cost more than the solve of a block this small and change no bit.  A chain
-built on a :class:`~feedbackq.qbd.Ladder` starts its elimination above the
-rungs already eliminated; every chain is back-substituted in full, and every
-column must meet ``RESIDUAL_TOL``.  :func:`residual_norm` checks a solve in a
+cost more than the solve of a block this small and change no bit.  A chain's
+``shared`` levels (:class:`~feedbackq.qbd.QbdBlocks`) are eliminated once for
+its whole stack; on a :class:`~feedbackq.qbd.Ladder` the elimination starts
+above the rungs already eliminated and appends the shared levels it
+eliminates.  Every chain is back-substituted in full, and every column must
+meet ``RESIDUAL_TOL``.  :func:`residual_norm` checks a solve in a
 fixed number of array operations whatever the depth: it reads each state's
 five neighbours through one read-only stencil table, shared by every chain,
 and weights them by the rates themselves rather than by the blocks the
@@ -29,7 +31,7 @@ import threading
 from collections.abc import Callable, Iterable, Iterator
 from dataclasses import dataclass
 from functools import partial
-from itertools import groupby, takewhile
+from itertools import groupby
 
 import numpy as np
 from numpy.linalg import LinAlgError, _umath_linalg
@@ -50,7 +52,6 @@ from .qbd import (
     VARIANT_RENEGING_TAGGED,
     Ladder,
     QbdBlocks,
-    _stacked_from,
     build_chain,
     build_rhs_payoff,
     build_rhs_sojourn,
@@ -152,20 +153,19 @@ def _solve(s: np.ndarray, a: np.ndarray, split: bool) -> np.ndarray:
 
 def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Forward pass of :func:`solve_structured`: k_j and h_j for j = 1..depth
-    (k_depth has no columns), stacked from the first level whose rates are;
-    a ladder's rung is eliminated once."""
-    depth = blocks.depth
+    (k_depth has no columns).  The ``shared`` levels are eliminated once for
+    the whole stack, and once for the ladder, which keeps each as a rung."""
+    depth, shared, ladder = blocks.depth, blocks.shared, blocks.ladder
     width = cols.shape[1]
-    rungs = blocks.rungs
-    if rungs:
-        blocks.ladder.hold(cols)
-    done = list(takewhile(lambda rung: rung[0] is not None, rungs))  # solves fill rungs from level 1 up
+    done = []
+    if ladder is not None and shared:
+        ladder.hold(cols)
+        done = ladder.joining[:shared]
     ks, hs = [k for k, _ in done], [h for _, h in done]
-    first = _stacked_from(blocks.variant, depth) if blocks.stack else depth + 1
-    lead = blocks.rates.reshape(-1, depth, 5)[0]  # below ``first`` every chain's rows are alike
+    lead = blocks.rates.reshape(-1, depth, 5)[0]  # the shared levels' rows, alike in every chain
     o = level_offset(len(ks) + 1)
     for j in range(len(ks) + 1, depth + 1):
-        row = blocks.rates[..., j - 1, :] if j >= first else lead[j - 1]
+        row = lead[j - 1] if j <= shared else blocks.rates[..., j - 1, :]
         s, a = _level_system(j, row, cols[o : o + j], j < depth)
         o += j
         if j > 1:  # D_j shifts rows down by one: (D_j m)[i] = dn m[i - 1], and row 0 is zero
@@ -180,8 +180,8 @@ def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], l
             raise ConsistencyError(f"singular elimination block at level {j}") from exc
         ks.append(kh[..., :-width])
         hs.append(kh[..., -width:])
-        if j <= len(rungs):
-            rungs[j - 1][:] = ks[-1], hs[-1]
+        if ladder is not None and j <= shared:
+            ladder.joining.append((ks[-1], hs[-1]))
     return ks, hs
 
 
@@ -198,9 +198,9 @@ def solve_structured(blocks: QbdBlocks, rhs: np.ndarray) -> np.ndarray:
     residual-checked.
 
     For a stack of thresholds (:func:`feedbackq.qbd.build_chain`) ``rhs`` is
-    shared and the result gains a leading stack axis.  Levels below the first
-    one whose rates differ across the stack are eliminated once for all; each chain is
-    residual-checked and equals its own solve bit for bit.
+    shared and the result gains a leading stack axis.  The shared levels, the
+    all-joining ones below the smallest floor(x), are eliminated once for
+    all; each chain is residual-checked and equals its own solve bit for bit.
     """
     depth = blocks.depth
     b = np.asarray(rhs, dtype=float)

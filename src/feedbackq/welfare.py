@@ -32,6 +32,9 @@ RHO_ONE_EPS = 1e-6
 #: The optimal-threshold scan stops here; an optimum beyond it is out of domain.
 SCAN_LIMIT = 10_000
 
+#: Steps in a sampled grid; a finer grid is out of domain.
+GRID_LIMIT = 100_000
+
 #: Slack, relative to the curve's scale, in the runs of a unimodal curve.
 UNIMODAL_TOL = 1e-9
 
@@ -213,6 +216,10 @@ def welfare_curve(
         raise ValueError(f"x_max must be a nonnegative finite number or None, got {x_max}")
     n_star = socially_optimal_threshold(params)
     upper = x_max if x_max is not None else n_star + 5.0
+    if not upper / step < GRID_LIMIT:
+        raise ValueError(
+            f"the grid up to {upper} has more than GRID_LIMIT = {GRID_LIMIT} steps, got {step}"
+        )
     count = int(round(upper / step))
     xs = np.round(np.arange(count + 1) * step, 12)
     ths = [as_threshold(float(v)) for v in xs]

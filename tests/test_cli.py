@@ -107,7 +107,7 @@ class TestEquilibrium:
         record = json.loads(out)
         assert record["result"]["ess"]["is_ess"] is True
 
-    @pytest.mark.parametrize("step", ["0", "-0.05", "nan"])
+    @pytest.mark.parametrize("step", ["0", "-0.05", "nan", "1e-12"])
     def test_ess_step_must_be_positive_and_finite(self, capsys, step):
         code, out, err = run_cli(
             capsys, "equilibrium", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
@@ -190,7 +190,7 @@ class TestWelfare:
 
     @pytest.mark.parametrize(
         "flag,value,shown",
-        [("--grid-step", "inf", "inf"), ("--grid-step", "nan", "nan"),
+        [("--grid-step", "inf", "inf"), ("--grid-step", "nan", "nan"), ("--grid-step", "1e-12", "1e-12"),
          ("--x-max", "-5", "-5.0"), ("--x-max", "nan", "nan")],
     )
     def test_bad_grid_exits_two_naming_the_value(self, capsys, flag, value, shown):

@@ -247,7 +247,7 @@ class TestRates:
                 on_ladder = build_chain(params, x, variant, ladder)
                 np.testing.assert_array_equal(on_ladder.rates, rates)
                 # every rung level has the joining row: no balking, no reneging
-                rungs = on_ladder.rates[: len(on_ladder.rungs)]
+                rungs = on_ladder.rates[: on_ladder.shared]
                 assert len(rungs) == int(x) - 1 and np.all(rungs == rungs[0])
                 assert rungs[0, 0] == 0.0 and rungs[0, 1] == rungs[0, 2]
 

@@ -137,7 +137,7 @@ class TestElimination:
         params = ModelParams(1.0, 0.8, 0.4, 7.8)
         for variant in VARIANTS:
             blocks = build_chain(params, [3.25, 3.5] if stacked else 3.5, variant)
-            assert blocks.depth >= 3 and qbd._stacked_from(variant, blocks.depth) <= 3
+            assert blocks.depth >= 3 and blocks.shared < 3  # level 3 is solved on each chain's rows
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 with pytest.raises(ConsistencyError, match="singular elimination block at level 3$"):
@@ -454,12 +454,12 @@ class TestStackedSolve:
                 blocks = build_chain(params, xs, variant)
                 singles = [build_chain(params, x, variant) for x in xs]
                 varying = {depth - 1, depth} if reneging else {depth - 2}
-                # each chain keeps its own rates, which differ across the
-                # stack only where p touches; the elimination stacks from there
+                # each chain keeps its own rates, which differ across the stack
+                # only where p touches; the elimination stacks above the shared levels
                 np.testing.assert_array_equal(blocks.rates, [single.rates for single in singles])
                 for j in set(range(1, depth + 1)) - varying:
                     assert np.all(blocks.rates[:, j - 1] == blocks.rates[0, j - 1]), (variant, j)
-                assert qbd._stacked_from(variant, depth) == min(varying)
+                assert blocks.shared == max(min(varying), 1) - 1
                 ks, hs = _eliminate(blocks, build_rhs_sojourn(params, depth)[:, None])
                 for j, (k, h) in enumerate(zip(ks, hs), start=1):
                     assert k.ndim == h.ndim == (3 if j >= min(varying) else 2), (variant, j)
@@ -472,6 +472,23 @@ class TestStackedSolve:
             v = solve_structured(build_chain(params, [2.5], variant), rhs)
             assert v.shape == (1, rhs.size)
             np.testing.assert_array_equal(v[0], solve_structured(single, rhs))
+
+    def test_a_stack_of_repeated_integers(self, rng):
+        # [k, k] joins at every level below k, one more shared level than a
+        # stack with a fraction; on a ladder or not, each chain is its own solve
+        for _ in range(10):
+            params = random_params(rng, r0_span=(0.0, 20.0))
+            for variant in VARIANTS:
+                k = int(rng.integers(1, 10))
+                xs = [float(k)] * int(rng.integers(2, 4))
+                for layout in ("sojourn", "payoff", "pair"):
+                    for ladder in (None, Ladder(params)):
+                        blocks = build_chain(params, xs, variant, ladder)
+                        assert blocks.shared == k - 1
+                        rhs = layout_rhs(params, layout, blocks.depth)
+                        single = solve_structured(build_chain(params, float(k), variant), rhs)
+                        for v in solve_structured(blocks, rhs):
+                            np.testing.assert_array_equal(v, single)
 
     def test_residual_check_names_the_failing_chain(self):
         params = ModelParams(1.0, 0.8, 0.4, 7.5)
@@ -557,33 +574,32 @@ class TestLadder:
         assert len(kinds) == 36
 
     def test_extends_on_demand_and_shares_its_blocks(self):
-        # the blocks shared are the rungs' k_j and h_j
+        # the blocks shared are the rungs' k_j and h_j, appended by the first
+        # solve that eliminates their level and never rewritten
         params = ModelParams(1.0, 0.8, 0.4)
         ladder = Ladder(params)
         shallow = build_chain(params, 3.5, "nonreneging", ladder)
-        assert len(ladder.joining) == 2 and shallow.rungs == tuple(ladder.joining)  # levels 1-2
         deep = build_chain(params, 7.25, "reneging_all", ladder)
-        assert len(ladder.joining) == 6 and deep.rungs == tuple(ladder.joining)  # levels 1-6
-        assert all(rung[0] is None for rung in ladder.joining)  # nothing eliminated yet
+        assert (shallow.shared, deep.shared) == (2, 6) and ladder.joining == []  # nothing eliminated yet
         solve_structured(shallow, build_rhs_sojourn(params, shallow.depth))
-        assert [rung[0] is not None for rung in ladder.joining] == [True] * 2 + [False] * 4
-        first = [rung[0] for rung in ladder.joining[:2]]
+        assert len(ladder.joining) == 2  # levels 1-2
+        first = list(ladder.joining)
         solve_structured(deep, build_rhs_sojourn(params, deep.depth))
-        assert all(rung[0] is not None for rung in ladder.joining)
-        assert all(rung[0] is k for rung, k in zip(ladder.joining, first))
-        # a chain's rungs are its levels 1 .. floor(x) - 1, whatever the variant
+        assert len(ladder.joining) == 6  # levels 1-6
+        assert all(rung is old for rung, old in zip(ladder.joining, first))
+        assert all(type(rung) is tuple and len(rung) == 2 for rung in ladder.joining)
+        # a chain shares its levels 1 .. floor(x) - 1, whatever the variant
         for variant in VARIANTS:
             for x in (0.0, 0.5, 1.0, 2.0, 2.5, 5.0, 6.75, 3.0):
-                blocks = build_chain(params, x, variant, ladder)
-                assert blocks.rungs == tuple(ladder.joining[: max(int(x) - 1, 0)])
-        # a stack shares the levels below its first stacked one: without
-        # reneging, depth 6 holds x in (4, 5] and level 4 differs across it
-        assert len(build_chain(params, 5.0, "nonreneging", ladder).rungs) == 4
-        for xs in ([5.0, 5.0], [5.0, 4.5], [4.5, 5.0]):
-            assert build_chain(params, xs, "nonreneging", ladder).rungs == tuple(ladder.joining[:3])
+                assert build_chain(params, x, variant, ladder).shared == max(int(x) - 1, 0)
+        # a stack shares the levels below its smallest floor(x): without
+        # reneging, depth 6 holds x in (4, 5], and only [5, 5] joins at level 4
+        assert build_chain(params, 5.0, "nonreneging", ladder).shared == 4
+        for xs, shared in (([5.0, 5.0], 4), ([5.0, 4.5], 3), ([4.5, 5.0], 3)):
+            assert build_chain(params, xs, "nonreneging", ladder).shared == shared
         # with reneging, depth 6 holds x in [5, 6) and only the top two levels differ
-        stack = build_chain(params, [5.0, 5.5], "reneging_all", ladder)
-        assert stack.rungs == tuple(ladder.joining[:4])
+        assert build_chain(params, [5.0, 5.5], "reneging_all", ladder).shared == 4
+        assert len(ladder.joining) == 6  # building eliminates nothing
 
     def test_gamma_chain_reuses_the_levels_below_m(self):
         # at an integer m both chains share the all-joining levels 1 .. m - 1;
@@ -594,9 +610,9 @@ class TestLadder:
             plain = build_chain(params, float(m), "nonreneging", ladder)
             solve_structured(plain, build_rhs_sojourn(params, m + 1))
             tagged = build_chain(params, float(m), "reneging_tagged", ladder)
-            assert tagged.rungs == plain.rungs and len(tagged.rungs) == m - 1
+            assert tagged.shared == plain.shared == len(ladder.joining) == m - 1
             ks, hs = _eliminate(tagged, build_rhs_sojourn(params, m + 1)[:, None])
-            assert all(k is rung[0] and h is rung[1] for k, h, rung in zip(ks, hs, tagged.rungs))
+            assert all(k is rung[0] and h is rung[1] for k, h, rung in zip(ks, hs, ladder.joining))
             assert len(ks) == m + 1
             assert not any(k is rung[0] for k in ks[m - 1 :] for rung in ladder.joining)
 
@@ -607,13 +623,14 @@ class TestLadder:
         deep = build_chain(params, 8.5, "nonreneging", ladder)
         solve_structured(deep, build_rhs_sojourn(params, deep.depth))
         j = 4
-        rung = ladder.joining[j - 1]
+        k, h = ladder.joining[j - 1]
         if fault == "perturbed k":
-            rung[0] = rung[0] * (1.0 + 1e-6)
+            k = k * (1.0 + 1e-6)
         else:
             local, up, down = level_blocks(deep, j)
             s = np.eye(j) - local - down @ ladder.joining[j - 2][0]
-            rung[1] = np.linalg.solve(s, build_rhs_sojourn(params, j)[level_offset(j) :, None])
+            h = np.linalg.solve(s, build_rhs_sojourn(params, j)[level_offset(j) :, None])
+        ladder.joining[j - 1] = k, h
         for variant in VARIANTS:
             for x in (5.0, 5.5, 6.25, 8.5):  # floor(x) > j: level j is a joining rung
                 blocks = build_chain(params, x, variant, ladder)

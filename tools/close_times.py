@@ -37,7 +37,7 @@ def _phases(depth: int):
     solve_structured(build_chain(PARAMS, x, "nonreneging", base), rhs)
 
     def ladder() -> Ladder:
-        return Ladder(PARAMS, [list(rung) for rung in base.joining], base.cols)
+        return Ladder(PARAMS, list(base.joining), base.cols)
 
     blocks = build_chain(PARAMS, x, "nonreneging", ladder())
     v = solve_structured(blocks, rhs)

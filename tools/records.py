@@ -1,9 +1,9 @@
-"""One line per input of a bench workload: its label, the sha256 of its
-record, and its failure text, if any.
+"""One line per input of a bench workload and seed: the seed, the input's
+label, the sha256 of its record, and its failure text, if any.
 
 Usage, from the root of a source checkout:
 
-    python tools/records.py --workload sweep_shallow --seed 1
+    python tools/records.py --workload sweep_shallow --seed 1 2 3
 
 The library comes from ``src/`` and the workloads from ``bench/`` of the
 checkout the script sits in; ``bench/`` is only imported.  Each input runs
@@ -30,18 +30,20 @@ import workloads  # noqa: E402
 def main() -> None:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--workload", required=True, choices=sorted(workloads.WORKLOADS))
-    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--seed", type=int, nargs="+", default=[1])
     args = parser.parse_args()
     workload = workloads.WORKLOADS[args.workload]
-    for inp in workload.inputs(args.seed):
-        try:
-            rec = workload.record(inp, workload.run(inp))
-        except Exception as exc:  # listed as the bench lists a failing op
-            print(f"{inp.describe()}\t-\t{type(exc).__name__}: {exc}")
-            continue
-        problem = workload.check(inp, rec)
-        failure = "" if problem is None else f"CheckFailed: {problem}"
-        print(f"{inp.describe()}\t{hashlib.sha256(repr(rec).encode()).hexdigest()}\t{failure}")
+    for seed in args.seed:
+        for inp in workload.inputs(seed):
+            try:
+                rec = workload.record(inp, workload.run(inp))
+            except Exception as exc:  # listed as the bench lists a failing op
+                print(f"{seed}\t{inp.describe()}\t-\t{type(exc).__name__}: {exc}")
+                continue
+            problem = workload.check(inp, rec)
+            failure = "" if problem is None else f"CheckFailed: {problem}"
+            digest = hashlib.sha256(repr(rec).encode()).hexdigest()
+            print(f"{seed}\t{inp.describe()}\t{digest}\t{failure}")
 
 
 if __name__ == "__main__":
