@@ -190,7 +190,8 @@ class TestWelfare:
 
     @pytest.mark.parametrize(
         "flag,value,shown",
-        [("--grid-step", "inf", "inf"), ("--grid-step", "nan", "nan"), ("--grid-step", "1e-12", "1e-12"),
+        [("--grid-step", "inf", "inf"), ("--grid-step", "nan", "nan"),
+         ("--grid-step", "1e-12", "1e-12"),
          ("--x-max", "-5", "-5.0"), ("--x-max", "nan", "nan")],
     )
     def test_bad_grid_exits_two_naming_the_value(self, capsys, flag, value, shown):

@@ -291,7 +291,8 @@ class TestCurve:
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"step": 0.0}, {"step": -0.1}, {"step": float("inf")}, {"step": float("nan")}, {"step": 1e-12},
+        [{"step": 0.0}, {"step": -0.1}, {"step": float("inf")}, {"step": float("nan")},
+         {"step": 1e-12}, {"step": 5e-324},
          {"x_max": -5.0}, {"x_max": float("inf")}, {"x_max": float("nan")}],
     )
     def test_rejects_bad_grids(self, kwargs):
