@@ -133,6 +133,8 @@ def cmd_sojourn(args: argparse.Namespace) -> int:
 
 def cmd_equilibrium(args: argparse.Namespace) -> int:
     params = _params_from(args)
+    if args.ess and args.mode == "r":
+        raise ValueError("--ess checks the no-reneging equilibrium; use --mode n or both")
     if args.ess and not 0.0 < args.ess_step < float("inf"):
         raise ValueError(f"--ess-step must be a positive finite number, got {args.ess_step}")
     result: dict = {}
@@ -148,7 +150,7 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
         if res.residual is not None:
             diagnostics[f"nash_{mode}_root"] = res.residual
     if args.ess:
-        base = result.get("n") or result.get("r")
+        base = result["n"]
         if not (base["x"] + 2.0) / args.ess_step < GRID_LIMIT:
             raise ValueError(
                 f"--ess-step gives more than GRID_LIMIT = {GRID_LIMIT} steps, got {args.ess_step}"
@@ -282,7 +284,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("equilibrium", help="Nash equilibrium thresholds")
     add_rates(p, r0_required=True)
     p.add_argument("--mode", choices=["n", "r", "both"], default="both")
-    p.add_argument("--ess", action="store_true", help="grid-check evolutionary stability")
+    p.add_argument("--ess", action="store_true", help="check that the no-reneging equilibrium is an ESS")
     p.add_argument("--ess-step", type=float, default=0.05)
     p.set_defaults(func=cmd_equilibrium)
 

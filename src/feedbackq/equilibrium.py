@@ -15,7 +15,10 @@ both games share one ascent on alpha and beta and solve for gamma once, at
 the m where it stops.  Every chain of a search closes on one
 :class:`~feedbackq.qbd.Ladder` per right-hand side, which also holds the
 critical values: a second search on the same ladder, in either game and at
-any reward, closes only its own mixed-root chains.
+any reward, closes only its own mixed-root chains.  The ESS check decides
+every deviation from the signs of the payoffs solved once at the
+equilibrium: a deviation's loss is a sum of terms of one sign, and it ties
+only where a payoff is exactly zero, which a mixed root certifies.
 """
 
 from __future__ import annotations
@@ -27,7 +30,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .analytics import stationary_threshold
-from .model import INTEGER_EPS, ModelParams, Threshold, positive_int
+from .model import INTEGER_EPS, ModelParams, Threshold, branch_parts, make_threshold, positive_int
 from .qbd import Ladder
 from .solver import (
     ConsistencyError,
@@ -40,8 +43,8 @@ from .solver import (
     sojourn_vector_r_tagged,
 )
 
-#: Reward ties with a critical value, and payoff ties in the ESS check,
-#: below this relative size are treated as exact (indifference) ties.
+#: Reward ties with the lone-customer sojourn alpha_1 below this relative
+#: size are treated as exact: the indifference interval [0, 1].
 TIE_TOL = 1e-9
 
 #: Required accuracy of the indifference condition at a mixed root.
@@ -242,8 +245,8 @@ def chi(params: ModelParams, m: int) -> float:
     """
     m = positive_int(m, "m")
     ladder = Ladder(params)
-    beta_m = sojourn_vector(params, float(m), ladder=ladder).at(m + 1, m + 1)
-    alpha_next = sojourn_vector(params, float(m + 1), ladder=ladder).at(m + 1, m + 1)
+    beta_m = critical_values(params, m, with_gamma=False, ladder=ladder).beta
+    alpha_next = critical_values(params, m + 1, with_gamma=False, ladder=ladder).alpha
     if not beta_m < params.r0 < alpha_next:
         raise ValueError(f"reward {params.r0} must lie strictly in ({beta_m}, {alpha_next}) for m={m}")
     return _mixed_root(params, m, beta_m, alpha_next, False, ladder)[0]
@@ -320,56 +323,44 @@ def total_payoff(params: ModelParams, x_tag: float | Threshold, x_others: float 
 def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
     """Check evolutionary stability of ``x_e`` over a grid of deviations.
 
-    Each deviation must either do strictly worse against the equilibrium
-    population, or tie and then do strictly worse against its own population.
-    The reward tie with the lone-customer sojourn is the known degenerate
-    case in which every threshold in [0, 1] ties forever; it is reported as
-    not evolutionarily stable.
+    Against a population at x_e, a deviation's loss u(x_e, x_e) - u(dx, x_e)
+    is sum_k c_k pi_k z_k: the joining-state payoffs z_k, weighted by the
+    arrival law pi_k and the joining shares c_k that the deviation gives up
+    (all >= 0) or takes on (all <= 0).  At an equilibrium z_k >= 0 below x_e
+    and z_k <= 0 above it, so the terms share one sign, and the deviation does
+    strictly worse iff the sum is positive.  It ties iff every position it
+    moves has z_k == 0: at a reward tie with a critical value, or on the band
+    of a mixed root, where z_n is zero by construction once x_e is certified
+    as the root ``_mixed_root`` returns.  A tie does strictly worse against
+    its own population, as the sojourn time rises with the threshold.  The
+    reward tie with the lone-customer sojourn, in which every threshold in
+    [0, 1] ties forever, is reported as not evolutionarily stable.
     """
+    devs = [dx for dx in map(float, deviations) if abs(dx - x_e) > 1e-12]
     ladder = Ladder(params)
     cv = critical_values(params, 1, with_gamma=False, ladder=ladder)
     if abs(params.r0 - cv.alpha) <= TIE_TOL * cv.alpha:
-        grid = tuple(float(d) for d in deviations if abs(float(d) - x_e) > 1e-12)
-        return EssReport(
-            x=x_e,
-            is_ess=False,
-            checked=len(grid),
-            strict_best=0,
-            tie_resolved=0,
-            failures=grid,
-            note="reward equals the lone-customer sojourn: all thresholds in [0, 1] tie",
-        )
-    values_e = next(payoff_vectors(params, [x_e], False, ladder))
-    dist_e = stationary_threshold(params, x_e, "n").probs
-    u_ee = values_e.joining_mean(dist_e, x_e)
-    scale = abs(u_ee)
-    checked: list[tuple[float, bool | None]] = []  # strictly worse, not, or None for a tie
-    for dev in deviations:
-        dx = float(dev)
-        if abs(dx - x_e) <= 1e-12:
-            continue
-        u_de = values_e.joining_mean(dist_e, dx)
-        if u_ee > u_de + TIE_TOL * scale:
-            checked.append((dx, True))
-        else:
-            checked.append((dx, None if abs(u_ee - u_de) <= TIE_TOL * scale else False))
-    # A tie is settled against the deviation's own population; runs of ties
-    # that share a chain depth are solved as one stack, on the ladder's rungs.
-    ties = [dx for dx, verdict in checked if verdict is None]
-    settled = {}
-    for dx, values_d in zip(ties, payoff_vectors(params, ties, False, ladder)):
-        dist_d = stationary_threshold(params, dx, "n").probs
-        u_ed = values_d.joining_mean(dist_d, x_e)
-        settled[dx] = u_ed > values_d.joining_mean(dist_d, dx) + TIE_TOL * abs(u_ed)
-    failures = tuple(dx for dx, verdict in checked if not (settled[dx] if verdict is None else verdict))
-    return EssReport(
-        x=x_e,
-        is_ess=not failures,
-        checked=len(checked),
-        strict_best=sum(verdict is True for _, verdict in checked),
-        tie_resolved=sum(settled[dx] for dx in ties),
-        failures=failures,
-    )
+        note = "reward equals the lone-customer sojourn: all thresholds in [0, 1] tie"
+        return EssReport(x_e, False, len(devs), 0, 0, tuple(devs), note)
+    z = next(payoff_vectors(params, [x_e], False, ladder)).diagonal()
+    n, p = branch_parts(make_threshold(x_e))
+    if p and n >= 1:
+        beta = critical_values(params, n, with_gamma=False, ladder=ladder).beta
+        alpha_next = critical_values(params, n + 1, with_gamma=False, ladder=ladder).alpha
+        in_band = beta < params.r0 < alpha_next
+        if in_band and _mixed_root(params, n, beta, alpha_next, False, ladder)[0] == x_e:
+            z[n] = 0.0  # the indifference that defines the root
+    shares = np.zeros((len(devs) + 1, len(z)))  # by joining_mean's rule, x_e's first
+    for row, x in zip(shares, [x_e, *devs]):
+        k, frac = branch_parts(make_threshold(x))
+        row[:k] = 1.0
+        if k < len(z):
+            row[k] = frac
+    moved = shares[0] - shares[1:]
+    worse = moved @ (stationary_threshold(params, x_e, "n").probs * z) > 0.0
+    tie = ~((moved != 0.0) & (z != 0.0)).any(axis=1)
+    failures = tuple(dx for dx, w, t in zip(devs, worse, tie) if not (w or t))
+    return EssReport(x_e, not failures, len(devs), int(worse.sum()), int(tie.sum()), failures)
 
 
 def equilibrium_payoffs_r(params: ModelParams, result: EquilibriumResult) -> ValueVector:

@@ -107,6 +107,26 @@ class TestEquilibrium:
         record = json.loads(out)
         assert record["result"]["ess"]["is_ess"] is True
 
+    def test_ess_at_low_load(self, capsys):
+        # pure at m = 10, where every deviation's loss is far below 1e-9 relative
+        code, out, _ = run_cli(
+            capsys, "equilibrium", "--lambda", "0.147075363635155", "--mu", "1.3181044536113944",
+            "--q", "0.7488355221981388", "--r0", "8.543764654080832", "--ess",
+        )
+        assert code == 0
+        ess = json.loads(out)["result"]["ess"]
+        assert ess["is_ess"] is True
+        assert ess["strict_best"] == ess["checked"] == 240
+
+    def test_ess_checks_the_no_reneging_game_only(self, capsys):
+        code, out, err = run_cli(
+            capsys, "equilibrium", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
+            "--r0", "7.8", "--mode", "r", "--ess",
+        )
+        assert code == 2
+        assert out == ""
+        assert "no-reneging" in json.loads(err)["error"]
+
     @pytest.mark.parametrize("step", ["0", "-0.05", "nan", "1e-12"])
     def test_ess_step_must_be_positive_and_finite(self, capsys, step):
         code, out, err = run_cli(

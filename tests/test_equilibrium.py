@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -30,6 +32,7 @@ from feedbackq.equilibrium import (
     TIE_TOL,
 )
 
+import ess_oracle
 from conftest import REFERENCE_CASES, params_of, random_params
 
 
@@ -266,70 +269,106 @@ class TestEss:
         assert "tie" in report.note
 
 
-def _ess_per_deviation(params, x_e, deviations, tie_tol=TIE_TOL):
-    """The ESS grid check as it stood before it reused the equilibrium
-    population's solve: every payoff through ``total_payoff``."""
-    cv = critical_values(params, 1)
-    if abs(params.r0 - cv.alpha) <= tie_tol * cv.alpha:
-        grid = tuple(float(d) for d in deviations if abs(float(d) - x_e) > 1e-12)
-        return EssReport(
-            x=x_e, is_ess=False, checked=len(grid), strict_best=0, tie_resolved=0,
-            failures=grid,
-            note="reward equals the lone-customer sojourn: all thresholds in [0, 1] tie",
-        )
-    u_ee = total_payoff(params, x_e, x_e)
-    scale = abs(u_ee)
-    strict = resolved = checked = 0
-    failures = []
-    for dev in deviations:
-        dx = float(dev)
-        if abs(dx - x_e) <= 1e-12:
-            continue
-        checked += 1
-        u_de = total_payoff(params, dx, x_e)
-        if u_ee > u_de + tie_tol * scale:
-            strict += 1
-        elif abs(u_ee - u_de) <= tie_tol * scale:
-            u_ed = total_payoff(params, x_e, dx)
-            u_dd = total_payoff(params, dx, dx)
-            if u_ed > u_dd + tie_tol * abs(u_ed):
-                resolved += 1
-            else:
-                failures.append(dx)
-        else:
-            failures.append(dx)
+def _oracle_report(params, x_e, deviations):
+    """The verdicts of the exact oracle (``tests/ess_oracle.py``) as a report."""
+    verdicts = ess_oracle.verdicts(params.lam, params.mu, params.q, params.r0, x_e, deviations)
+    failures = tuple(dx for dx, v in verdicts if v == ess_oracle.FAIL)
     return EssReport(
-        x=x_e, is_ess=not failures, checked=checked, strict_best=strict,
-        tie_resolved=resolved, failures=tuple(failures),
+        x=x_e, is_ess=not failures, checked=len(verdicts),
+        strict_best=sum(v == ess_oracle.WORSE for _, v in verdicts),
+        tie_resolved=sum(v == ess_oracle.TIE for _, v in verdicts), failures=failures,
     )
 
 
 class TestEssMatchesPerDeviationCheck:
+    """The sign rule against the exact oracle, deviation by deviation."""
+
     def test_seeded_draws(self, rng):
         resolved = failed = 0
         for i in range(16):
             params = random_params(rng, (0.5, 12.0))
             # Equilibria (mixed ones tie every deviation inside their band)
-            # and arbitrary thresholds, which fail the check.
+            # and arbitrary thresholds, which fail the check.  Draw 10 is a
+            # pure equilibrium at m = 19 and rho = 0.34, deep enough that the
+            # earlier tie tolerance read it as not evolutionarily stable.
             x_e = nash_n(params).x if i % 2 == 0 else float(rng.uniform(0.0, 4.0))
             step = (0.05, 0.1, 0.25)[i % 3]
             grid = np.round(np.arange(0.0, x_e + 2.0 + 1e-9, step), 12)
             report = ess_check(params, x_e, grid)
-            assert report == _ess_per_deviation(params, x_e, grid)
+            assert report == _oracle_report(params, x_e, grid)
+            assert report.is_ess or i % 2
             resolved += report.tie_resolved
             failed += len(report.failures)
         assert resolved > 0 and failed > 0
+
+    def test_low_load_equilibria(self):
+        # mu in (0.2, 2), q in (0.1, 1), rho log-uniform in [0.05, 0.3] and
+        # r0 mu q in (1, 7): equilibria up to m = 7, where a deviation's loss
+        # can fall far below any relative tie tolerance
+        rng = np.random.default_rng(2021)
+        smallest = 1.0
+        for _ in range(12):
+            mu, q = rng.uniform(0.2, 2.0), rng.uniform(0.1, 1.0)
+            rho = np.exp(rng.uniform(np.log(0.05), np.log(0.3)))
+            params = ModelParams(rho * mu * q, mu, q, rng.uniform(1.0, 7.0) / (mu * q))
+            x_e = nash_n(params).x
+            grid = np.round(np.arange(0.0, x_e + 2.0 + 1e-9, 0.05), 12)
+            report = ess_check(params, x_e, grid)
+            assert report.is_ess
+            assert report == _oracle_report(params, x_e, grid)
+            # the exact loss of each deviation outside x_e's band [n, n + 1]
+            game = ess_oracle.Game(params.lam, params.mu, params.q, params.r0)
+            u_ee, n = game.payoff(x_e, x_e), math.floor(x_e)
+            for dx in grid[(grid < n) | (grid > n + 1)]:
+                smallest = min(smallest, float((u_ee - game.payoff(dx, x_e)) / u_ee))
+        assert 0.0 < smallest < TIE_TOL
+
+    def test_roadmap_low_load_example(self):
+        # pure at m = 10; the earlier tie tolerance failed all 60 deviations in [9, 12]
+        params = ModelParams(0.147075363635155, 1.3181044536113944, 0.7488355221981388, 8.543764654080832)
+        res = nash_n(params)
+        assert (res.case, res.x) == (CASE_PURE, 10.0)
+        grid = np.round(np.arange(0.0, 12.0 + 1e-9, 0.05), 12)
+        report = ess_check(params, res.x, grid)
+        assert report.is_ess and report.strict_best == report.checked == 240
+        assert report == _oracle_report(params, res.x, grid)
+
+    def test_non_equilibria_fail_where_the_oracle_says(self):
+        params = params_of(REFERENCE_CASES[0])
+        for x in (2.5, 1.3, 3.75):
+            grid = np.round(np.arange(0.0, x + 2.0 + 1e-9, 0.05), 12)
+            report = ess_check(params, x, grid)
+            assert report.failures
+            assert report == _oracle_report(params, x, grid)
+
+    @pytest.mark.parametrize("m", [2, 3])
+    @pytest.mark.parametrize("edge", ["alpha", "beta"])
+    def test_reward_ties_resolve_against_their_own_population(self, m, edge):
+        # r0 = alpha_m zeroes the payoff at position m, r0 = beta_m the one
+        # at m + 1: the deviations that move only that position tie, and each
+        # does strictly worse against its own population
+        base = ModelParams(1.0, 0.8, 0.4)
+        params = base.with_r0(getattr(critical_values(base, m), edge))
+        res = nash_n(params)
+        assert (res.case, res.x) == (CASE_PURE, float(m))
+        grid = np.round(np.arange(0.0, m + 2.0 + 1e-9, 0.05), 12)
+        report = ess_check(params, res.x, grid)
+        tied = [dx for dx in grid if (m - 1 <= dx < m if edge == "alpha" else dx > m)]
+        assert report.failures == ()
+        assert report.tie_resolved == len(tied)
+        game = ess_oracle.Game(params.lam, params.mu, params.q, params.r0)
+        assert all(game.payoff(res.x, dx) > game.payoff(dx, dx) for dx in tied)
 
     def test_readme_grid_resolves_ties(self):
         params = params_of(REFERENCE_CASES[0])
         x_e = nash_n(params).x
         grid = np.round(np.arange(0.0, x_e + 2.0 + 1e-9, 0.05), 12)
         report = ess_check(params, x_e, grid)
-        assert report.tie_resolved > 0
-        assert report == _ess_per_deviation(params, x_e, grid)
+        assert (report.checked, report.strict_best, report.tie_resolved) == (82, 61, 21)
+        assert report == _oracle_report(params, x_e, grid)
 
     def test_unsorted_grid_with_repeats(self, rng):
-        # ties settle in runs of one chain depth; the report keeps grid order
+        # the report keeps grid order, repeats included
         params = params_of(REFERENCE_CASES[0])
         for x_e in (nash_n(params).x, 1.3):
             grid = np.round(np.arange(0.0, x_e + 2.0 + 1e-9, 0.05), 12)
@@ -337,13 +376,18 @@ class TestEssMatchesPerDeviationCheck:
             rng.shuffle(grid)
             report = ess_check(params, x_e, grid)
             assert report.tie_resolved > 0 or len(report.failures) > 1
-            assert report == _ess_per_deviation(params, x_e, grid)
+            assert report == _oracle_report(params, x_e, grid)
 
     def test_lone_customer_tie(self):
         params = ModelParams(1.0, 0.8, 0.4)
         tie = params.with_r0(critical_values(params, 1).alpha)
         grid = np.arange(0.0, 1.0001, 0.1)
-        assert ess_check(tie, 0.5, grid) == _ess_per_deviation(tie, 0.5, grid)
+        deviations = tuple(float(d) for d in grid if d != 0.5)
+        assert ess_check(tie, 0.5, grid) == EssReport(
+            x=0.5, is_ess=False, checked=len(deviations), strict_best=0, tie_resolved=0,
+            failures=deviations,
+            note="reward equals the lone-customer sojourn: all thresholds in [0, 1] tie",
+        )
 
 
 #: The reference cases and one balking case, (lam, mu, q, r0).
@@ -351,15 +395,21 @@ _RESCALED_CASES = [(c["lam"], c["mu"], c["q"], c["r0"]) for c in REFERENCE_CASES
 
 
 def _equilibria_and_ess(params: ModelParams):
+    """Both equilibria, and the ESS reports at x_e and at 2.5, which is no
+    equilibrium (in the first reference case it lies in x_e's band)."""
     results = [nash_n(params), nash_r(params)]
-    x_e = results[0].x
-    grid = np.round(np.arange(0.0, x_e + 2.0 + 1e-9, 0.05), 12)  # the CLI's --ess grid
-    return results, ess_check(params, x_e, grid)
+    reports = []
+    for x in (results[0].x, 2.5):
+        grid = np.round(np.arange(0.0, x + 2.0 + 1e-9, 0.05), 12)  # the CLI's --ess grid
+        reports.append(ess_check(params, x, grid))
+    return results, reports
 
 
 class TestTimeScaleInvariance:
     """Rates times c and the reward over c is the same game in other time
-    units: every tie rule is relative, so the answer does not move."""
+    units.  The reward tie is relative, and the ESS check reads signs and
+    exact zeros, which certifies a mixed root by the root search's own
+    result: no verdict moves."""
 
     @pytest.mark.parametrize("c", [1e-4, 1e-2, 1e2, 1e6, 1e10, 1e14])
     @pytest.mark.parametrize("case", _RESCALED_CASES)
@@ -370,9 +420,10 @@ class TestTimeScaleInvariance:
         for want, got in zip(base, scaled):
             assert (got.case, got.m, got.interval) == (want.case, want.m, want.interval)
             assert got.x == pytest.approx(want.x, rel=1e-12, abs=0.0)
-        assert scaled_ess.is_ess == base_ess.is_ess
-        for field in ("checked", "strict_best", "tie_resolved", "failures"):
-            assert getattr(scaled_ess, field) == getattr(base_ess, field)
+        for want, got in zip(base_ess, scaled_ess):
+            assert got.is_ess == want.is_ess
+            for field in ("checked", "strict_best", "tie_resolved", "failures"):
+                assert getattr(got, field) == getattr(want, field)
 
 
 class TestNanChecks:
