@@ -156,7 +156,7 @@ def cmd_equilibrium(args: argparse.Namespace) -> int:
                 f"--ess-step gives more than GRID_LIMIT = {GRID_LIMIT} steps, got {args.ess_step}"
             )
         grid = np.round(np.arange(0.0, base["x"] + 2.0 + 1e-9, args.ess_step), 12)
-        report = ess_check(params, base["x"], grid)
+        report = ess_check(params, base["x"], grid, ladder=ladder)
         result["ess"] = {k: v for k, v in dataclasses.asdict(report).items() if k != "x"}
     record = _record("equilibrium", params, result, diagnostics)
     record["diagnostics"]["root_evals"] = root_evals

@@ -14,23 +14,27 @@ threshold, typically in under ten chain solves and never in more than
 both games share one ascent on alpha and beta and solve for gamma once, at
 the m where it stops.  Every chain of a search closes on one
 :class:`~feedbackq.qbd.Ladder` per right-hand side, which also holds the
-critical values: a second search on the same ladder, in either game and at
-any reward, closes only its own mixed-root chains.  The ESS check decides
-every deviation from the signs of the payoffs solved once at the
-equilibrium: a deviation's loss is a sum of terms of one sign, and it ties
-only where a payoff is exactly zero, which a mixed root certifies.
+critical values and the no-reneging mixed roots: a second search on the
+same ladder, in either game and at any reward, closes only the chains of a
+mixed root not yet held.  The ESS check decides every deviation from the
+signs of the payoffs solved once at the equilibrium: a deviation's loss is
+a sum of terms of one sign, and it ties only where a payoff is exactly
+zero, which a mixed root certifies; on the search's ladder it reads that
+root.
 """
 
 from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 from .analytics import stationary_threshold
-from .model import INTEGER_EPS, ModelParams, Threshold, branch_parts, make_threshold, positive_int
+from .model import (
+    INTEGER_EPS, ModelParams, Threshold, branch_parts, level_offset, make_threshold, positive_int,
+)
 from .qbd import Ladder
 from .solver import (
     ConsistencyError,
@@ -131,13 +135,13 @@ def critical_values(
     ladder = ladder or Ladder(params)
     ladder.admit(params)
     cv = ladder.critical.get(m)
-    if cv is None:
-        w = sojourn_vector(params, float(m), ladder=ladder)
-        cv = ladder.critical[m] = CriticalValues(m, w.at(m, m), w.at(m + 1, m + 1), math.nan)
+    if cv is None:  # (m, m) and (m + 1, m + 1) end levels m and m + 1
+        w = sojourn_vector(params, float(m), ladder=ladder).values
+        cv = ladder.critical[m] = CriticalValues(m, w.item(level_offset(m + 1) - 1), w.item(-1), math.nan)
     if with_gamma and math.isnan(cv.gamma):
-        gamma = sojourn_vector_r_tagged(params, float(m), ladder=ladder).at(m + 1, m + 1)
-        cv = ladder.critical[m] = replace(cv, gamma=gamma)
-    return cv if with_gamma or math.isnan(cv.gamma) else replace(cv, gamma=math.nan)
+        gamma = sojourn_vector_r_tagged(params, float(m), ladder=ladder).values.item(-1)
+        cv = ladder.critical[m] = CriticalValues(m, cv.alpha, cv.beta, gamma)
+    return cv if with_gamma or math.isnan(cv.gamma) else CriticalValues(m, cv.alpha, cv.beta, math.nan)
 
 
 def _brent(objective, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float, int]:
@@ -202,23 +206,28 @@ def _mixed_root(
 ) -> tuple[float, float, int]:
     """Mixed threshold in (m, m+1): root, residual and chain solves spent.
 
-    Without reneging the sojourn one past the threshold meets the reward;
-    with reneging the payoff there, others reneging, meets zero.  ``lower``
-    is beta_m (gamma_m when reneging) and ``alpha_next`` is alpha_{m+1}: the
-    objective's limits at the two ends of the band.
+    Without reneging the sojourn one past the threshold meets the reward,
+    and the ladder holds the root found on it.  With reneging the payoff
+    there, others reneging, meets zero.  ``lower`` is beta_m (gamma_m when
+    reneging) and ``alpha_next`` is alpha_{m+1}: the objective's limits at
+    the two ends of the band.
     """
+    held = None if reneging else ladder.roots.get((m, params.r0))
+    if held is not None:
+        return held
     j = m + 1
+    joins = level_offset(j + 1) - 1  # the index of state (j, j)
     if reneging:
         pair = Ladder(params)
 
         def objective(x: float) -> float:
-            return payoff_vector_r_tagged(params, x, ladder=pair).at(j, j)
+            return payoff_vector_r_tagged(params, x, ladder=pair).values.item(joins)
 
         f_lo, f_hi = params.r0 - lower, params.r0 - alpha_next
     else:
 
         def objective(x: float) -> float:
-            return sojourn_vector(params, x, ladder=ladder).at(j, j) - params.r0
+            return sojourn_vector(params, x, ladder=ladder).values.item(joins) - params.r0
 
         f_lo, f_hi = lower - params.r0, alpha_next - params.r0
     root, value, evals = _brent(objective, float(m), float(j), f_lo, f_hi)
@@ -234,6 +243,8 @@ def _mixed_root(
     residual = abs(value)
     if not residual <= ROOT_TOL:
         raise ConsistencyError(f"mixed-root residual {residual:.3e} exceeds {ROOT_TOL:.1e}")
+    if not reneging:
+        ladder.roots[m, params.r0] = root, residual, evals
     return root, residual, evals
 
 
@@ -320,7 +331,7 @@ def total_payoff(params: ModelParams, x_tag: float | Threshold, x_others: float 
     return payoff_vector_n(params, x_others).joining_mean(dist, x_tag)
 
 
-def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
+def ess_check(params: ModelParams, x_e: float, deviations, *, ladder: Ladder | None = None) -> EssReport:
     """Check evolutionary stability of ``x_e`` over a grid of deviations.
 
     Against a population at x_e, a deviation's loss u(x_e, x_e) - u(dx, x_e)
@@ -334,10 +345,12 @@ def ess_check(params: ModelParams, x_e: float, deviations) -> EssReport:
     as the root ``_mixed_root`` returns.  A tie does strictly worse against
     its own population, as the sojourn time rises with the threshold.  The
     reward tie with the lone-customer sojourn, in which every threshold in
-    [0, 1] ties forever, is reported as not evolutionarily stable.
+    [0, 1] ties forever, is reported as not evolutionarily stable.  On the
+    sojourn ``ladder`` of the search that found x_e, the critical values and
+    the root are read, not closed again.
     """
     devs = [dx for dx in map(float, deviations) if abs(dx - x_e) > 1e-12]
-    ladder = Ladder(params)
+    ladder = ladder or Ladder(params)
     cv = critical_values(params, 1, with_gamma=False, ladder=ladder)
     if abs(params.r0 - cv.alpha) <= TIE_TOL * cv.alpha:
         note = "reward equals the lone-customer sojourn: all thresholds in [0, 1] tie"

@@ -26,6 +26,8 @@ def _real(value, what: str) -> float:
     """``value`` as a finite Python float.  Python and numpy reals are
     accepted; bools are not, though Python counts them as integers (numpy's
     bool is no ``numbers.Real``)."""
+    if type(value) is float and math.isfinite(value):  # skips the ABC check, as int_at_least does
+        return value
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{what} must be a finite real number, got {value!r}")
     try:

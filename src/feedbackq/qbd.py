@@ -32,7 +32,8 @@ solver (:func:`feedbackq.solver.solve_structured`) eliminates the levels one
 by one, from level 1 up, expanding each level's blocks from its rates only
 when it reaches it, and never assembles the full matrix; it solves each block
 by LAPACK's gesv without ``np.linalg.solve``'s wrapper (``solver._solve``),
-whose checks cost more than so small a solve.  Its residual check reads the
+whose checks cost more than so small a solve, under one floating-point hook
+per elimination that reports a singular block.  Its residual check reads the
 rates directly, so a fault in that expansion fails the check.  The dense
 assembly used as the solver's oracle lives with the tests.  Every chain at
 one rate point joins alike below floor(x) (``QbdBlocks.shared``); the solver
@@ -102,13 +103,15 @@ class Ladder:
     in ``joining``, levels 1, 2, ... in order, appended by the first solve
     that eliminates the level (``QbdBlocks.shared``).  ``critical`` holds
     the critical values closed on the ladder, keyed by m
-    (:func:`feedbackq.equilibrium.critical_values`).
+    (:func:`feedbackq.equilibrium.critical_values`), and ``roots`` the
+    no-reneging mixed roots, keyed by m and the reward.
     """
 
     params: ModelParams
     joining: list[tuple[np.ndarray, np.ndarray]] = field(default_factory=list)
     cols: np.ndarray | None = None
     critical: dict = field(default_factory=dict)
+    roots: dict = field(default_factory=dict)
 
     def admit(self, params: ModelParams) -> None:
         """Admit only parameters at the ladder's rate point."""
@@ -178,16 +181,17 @@ def build_chain(
     top = depth if reneging else 0
     tagged_reneges = variant == VARIANT_RENEGING_ALL
 
-    def rows(th: Threshold) -> list[tuple[float, ...]]:
+    def rows(th: Threshold) -> list[float]:  # flat, which np.array reads fastest
         n, p = branch_parts(th)
-        own = [_level_rates(j, n, p, jumps, top, tagged_reneges) for j in range(max(n - 1, 1), depth + 1)]
-        return own[:1] * (n - 2) + own  # every level below n joins alike
+        levels = range(max(n - 1, 1), depth + 1)
+        own = [r for j in levels for r in _level_rates(j, n, p, jumps, top, tagged_reneges)]
+        return own[:5] * (n - 2) + own  # every level below n joins alike
 
     if ladder is not None:
         ladder.admit(params)
     shared = max(min(th.n for th in ths), 1) - 1
     th, stack = (ths, (len(ths),)) if stacked else (ths[0], ())
-    rates = np.array([rows(t) for t in ths] if stacked else rows(ths[0]), dtype=float)
+    rates = np.array([r for t in ths for r in rows(t)], dtype=float).reshape(stack + (depth, 5))
     return QbdBlocks(variant, depth, th, rates, stack, ladder, shared)
 
 
@@ -198,7 +202,8 @@ def build_rhs_payoff(params: ModelParams, depth: int) -> np.ndarray:
     with the tagged customer in service additionally collect the reward with
     the success mass of the next transition.
     """
-    g = np.full(num_states(depth), -1.0 / (params.lam + params.mu))
+    g = np.empty(num_states(depth))
+    g.fill(-1.0 / (params.lam + params.mu))
     starts = [level_offset(j) for j in range(1, depth + 1)]
     g[starts] += params.mu * params.q * params.r0 / (params.lam + params.mu)
     return g
@@ -206,5 +211,7 @@ def build_rhs_payoff(params: ModelParams, depth: int) -> np.ndarray:
 
 def build_rhs_sojourn(params: ModelParams, depth: int) -> np.ndarray:
     """Constant right-hand side for expected-sojourn solves."""
-    return np.full(num_states(depth), 1.0 / (params.lam + params.mu))
+    g = np.empty(num_states(depth))  # np.full's wrapper costs more than the fill
+    g.fill(1.0 / (params.lam + params.mu))
+    return g
 

@@ -6,11 +6,14 @@ QBDs (Gaver, Jacobs & Latouche 1984): one forward block elimination from
 level 1 upward, then back-substitution, for any number of right-hand-side
 columns and for a stack of thresholds that share a chain depth.  The chain
 is its jump rates (``QbdBlocks.rates``): the elimination expands a level's
-I - L_j and U_j from its row only when it reaches the level, applies the
-departure block D_j, one nonzero per row, as the row shift it is, and solves
-the level with :func:`_solve`: LAPACK's gesv through the gufunc that
-``np.linalg.solve`` calls, without that wrapper, whose per-call type checks
-cost more than the solve of a block this small and change no bit.  A chain's
+I - L_j and U_j from its row only when it reaches the level (a lone chain's
+row as Python floats), applies the departure block D_j, one nonzero per
+row, as the row shift it is, and solves the level with :func:`_solve`:
+LAPACK's gesv through the gufunc that ``np.linalg.solve`` calls, without
+that wrapper, whose per-call type checks cost more than the solve of a block
+this small and change no bit.  One floating-point hook per elimination turns
+a singular block into an error that names its level.  A shallow close costs
+its count of numpy calls more than its arithmetic.  A chain's
 ``shared`` levels (:class:`~feedbackq.qbd.QbdBlocks`) are eliminated once for
 its whole stack; on a :class:`~feedbackq.qbd.Ladder` the elimination starts
 above the rungs already eliminated and appends the shared levels it
@@ -63,7 +66,7 @@ RESIDUAL_TOL = 1e-10
 #: Admitted disagreement between a payoff solve and its reward-minus-sojourn twin.
 AFFINE_CHECK_TOL = 1e-10
 
-_gesv = partial(_umath_linalg.solve, signature="dd->d")  # LAPACK's gesv on float blocks
+_gesv = _umath_linalg.solve  # LAPACK's gesv; on float blocks it takes np.linalg.solve's "dd->d" loop
 
 
 class ConsistencyError(RuntimeError):
@@ -120,23 +123,28 @@ def _per_column(
     return np.concatenate([f(a, b[..., i : i + 1]) for i in range(b.shape[-1])], axis=-1)
 
 
-def _level_system(j: int, row: np.ndarray, c: np.ndarray, up: bool) -> tuple[np.ndarray, np.ndarray]:
+def _level_system(
+    j: int, row: list[float] | np.ndarray, c: np.ndarray, up: bool
+) -> tuple[np.ndarray, np.ndarray]:
     """Level j's I - L_j and [U_j | c] (c alone if not ``up``), expanded from
-    its rate row (``QbdBlocks.rates``; shape stack + (5,)): L_j holds the
-    balk self-loops on its diagonal, the feedback shifts (i, i - 1) below it
-    and phase 1's feedback to the tail in its top-right corner (on the
-    diagonal at level 1), U_j the joins on its diagonal."""
-    stack = row.shape[:-1]
-    neg = 0.0 - row
+    its rate row (``QbdBlocks.rates``): L_j holds the balk self-loops on its
+    diagonal, the feedback shifts (i, i - 1) below it and phase 1's feedback
+    to the tail in its top-right corner (on the diagonal at level 1), U_j the
+    joins on its diagonal.  ``row`` is one chain's five rates, fastest as
+    Python floats, or a stack's rows (shape (k, 5)), whose blocks gain a
+    leading stack axis; a chain's blocks have the same bytes either way."""
+    stacked = isinstance(row, np.ndarray) and row.ndim > 1
+    stack = row.shape[:-1] if stacked else ()
+    balk, shift, tail, join = (row[:, i : i + 1] for i in range(4)) if stacked else row[:4]
     s = np.zeros(stack + (j * j,))
-    s[..., j :: j + 1] = neg[..., 1:2]  # entries (i, i - 1)
-    s[..., j - 1 : j] = neg[..., 2:3]
-    s[..., :: j + 1] = 1.0 - (row[..., 0:1] + row[..., 2:3] if j == 1 else row[..., 0:1])
+    s[..., j :: j + 1] = 0.0 - shift  # entries (i, i - 1)
+    s[..., j - 1 : j] = 0.0 - tail
+    s[..., :: j + 1] = 1.0 - (balk + tail if j == 1 else balk)
     width = (j + 1 if up else 0) + c.shape[-1]
     a = np.zeros(stack + (j, width))
     a[..., width - c.shape[-1] :] = c
     if up:
-        a.reshape(stack + (-1,))[..., :: width + 1] = row[..., 3:4]  # entries (i, i)
+        a.reshape(stack + (-1,))[..., :: width + 1] = join  # entries (i, i)
     return s.reshape(stack + (j, j)), a
 
 
@@ -145,43 +153,50 @@ def _singular(err: str, flag: int) -> None:
 
 
 def _solve(s: np.ndarray, a: np.ndarray, split: bool) -> np.ndarray:
-    """S^{-1} a by the gesv gufunc ``np.linalg.solve`` wraps, under its hook: a
-    singular S raises ``LinAlgError``.  ``split`` solves column by column."""
-    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
-        return _per_column(_gesv, s, a) if split else _gesv(s, a)
+    """S^{-1} a by the gesv gufunc ``np.linalg.solve`` wraps.  Under the
+    floating-point hook that :func:`_eliminate` holds, a singular S raises
+    ``LinAlgError``.  ``split`` solves column by column."""
+    return _per_column(_gesv, s, a) if split else _gesv(s, a)
 
 
 def _eliminate(blocks: QbdBlocks, cols: np.ndarray) -> tuple[list[np.ndarray], list[np.ndarray]]:
     """Forward pass of :func:`solve_structured`: k_j and h_j for j = 1..depth
     (k_depth has no columns).  The ``shared`` levels are eliminated once for
-    the whole stack, and once for the ladder, which keeps each as a rung."""
-    depth, shared, ladder = blocks.depth, blocks.shared, blocks.ladder
+    the whole stack, and once for the ladder, which keeps each as a rung.
+    One floating-point hook covers every level: LAPACK reports a singular
+    S_j through it, and no other warning is raised."""
+    depth, shared, ladder, stack = blocks.depth, blocks.shared, blocks.ladder, blocks.stack
     width = cols.shape[1]
     done = []
     if ladder is not None and shared:
         ladder.hold(cols)
         done = ladder.joining[:shared]
     ks, hs = [k for k, _ in done], [h for _, h in done]
-    lead = blocks.rates.reshape(-1, depth, 5)[0]  # the shared levels' rows, alike in every chain
-    o = level_offset(len(ks) + 1)
-    for j in range(len(ks) + 1, depth + 1):
-        row = lead[j - 1] if j <= shared else blocks.rates[..., j - 1, :]
-        s, a = _level_system(j, row, cols[o : o + j], j < depth)
-        o += j
-        if j > 1:  # D_j shifts rows down by one: (D_j m)[i] = dn m[i - 1], and row 0 is zero
-            dn = row[..., 4, None, None]
-            below = s[..., 1:, :]  # updated in place, not stored back through a subscript
-            below -= dn * ks[-1]
-            below = a[..., 1:, -width:]
-            below += dn * hs[-1]
-        try:
-            kh = _solve(s, a, j == depth)
-        except LinAlgError as exc:
-            raise ConsistencyError(f"singular elimination block at level {j}") from exc
-        ks.append(kh[..., :-width])
-        hs.append(kh[..., -width:])
-        if ladder is not None and j <= shared:
-            ladder.joining.append((ks[-1], hs[-1]))
+    first = len(ks) + 1
+    # a lone chain's rows, or the shared levels', alike in every chain of a stack
+    rows = blocks.rates.reshape(-1, depth, 5)[0, first - 1 :].tolist()
+    o = level_offset(first)
+    with np.errstate(call=_singular, invalid="call", over="ignore", divide="ignore", under="ignore"):
+        for j, row in enumerate(rows, start=first):
+            stacked = stack and j > shared
+            if stacked:
+                row = blocks.rates[:, j - 1]
+            try:
+                s, a = _level_system(j, row, cols[o : o + j], j < depth)
+                if j > 1:  # D_j shifts rows down by one: (D_j m)[i] = dn m[i - 1], and row 0 is zero
+                    dn = row[:, 4, None, None] if stacked else row[4]
+                    below = s[..., 1:, :]  # updated in place, not stored back through a subscript
+                    below -= dn * ks[-1]
+                    below = a[..., 1:, -width:]
+                    below += dn * hs[-1]
+                kh = _solve(s, a, j == depth)
+            except LinAlgError as exc:
+                raise ConsistencyError(f"singular elimination block at level {j}") from exc
+            o += j
+            ks.append(kh[..., :-width])
+            hs.append(kh[..., -width:])
+            if ladder is not None and j <= shared:
+                ladder.joining.append((ks[-1], hs[-1]))
     return ks, hs
 
 
@@ -278,11 +293,12 @@ def residual_norm(blocks: QbdBlocks, v: np.ndarray, rhs: np.ndarray) -> float | 
     padded[..., :-1, :] = np.asarray(v).reshape(blocks.stack + cols.shape)
     v = padded[..., :-1, :]
     near = padded.take(near, axis=-2, mode="clip")
-    scale = np.maximum(np.abs(cols).max(axis=0), _TINY)
+    scale = np.maximum.reduce(np.abs(cols), axis=0, initial=_TINY)
     with np.errstate(invalid="ignore", over="ignore"):  # a nonfinite v gives a nonfinite norm
         terms = blocks.rates.take(level, axis=-2).swapaxes(-1, -2)[..., None] * near
-        r = v - terms[..., :3, :, :].sum(axis=-3) - cols - terms[..., 3, :, :] - terms[..., 4, :, :]
-        res = (np.abs(r) / scale).max(axis=(-2, -1))
+        within = np.add.reduce(terms[..., :3, :, :], axis=-3)
+        r = v - within - cols - terms[..., 3, :, :] - terms[..., 4, :, :]
+        res = np.maximum.reduce(np.abs(r) / scale, axis=(-2, -1))
     return res if blocks.stack else float(res)
 
 
@@ -330,10 +346,11 @@ def payoff_vector_r_tagged(
     computed and cross-checked, as one [payoff | sojourn] right-hand side.
     """
     blocks = build_chain(params, x, VARIANT_RENEGING_TAGGED, ladder)
-    rhs = np.column_stack([f(params, blocks.depth) for f in (build_rhs_payoff, build_rhs_sojourn)])
+    rhs = np.empty((blocks.num_states, 2))  # [payoff | sojourn], without np.column_stack's wrapper
+    rhs[:, 0], rhs[:, 1] = build_rhs_payoff(params, blocks.depth), build_rhs_sojourn(params, blocks.depth)
     z, w = solve_structured(blocks, rhs).T
-    gap = float(np.max(np.abs(z - (params.r0 - w))))
-    if not gap <= AFFINE_CHECK_TOL * max(1.0, float(np.max(np.abs(z)))):
+    gap = float(np.maximum.reduce(np.abs(z - (params.r0 - w))))
+    if not gap <= AFFINE_CHECK_TOL * max(1.0, float(np.maximum.reduce(np.abs(z)))):
         raise ConsistencyError(f"payoff solve and reward-minus-sojourn disagree by {gap:.3e}")
     return ValueVector("payoff_r_tagged", z, blocks.depth)
 

@@ -118,6 +118,26 @@ class TestEquilibrium:
         assert ess["is_ess"] is True
         assert ess["strict_best"] == ess["checked"] == 240
 
+    def test_ess_closes_only_the_payoff_chain_at_the_equilibrium(self, capsys, monkeypatch):
+        # the check reads the critical values and the mixed root that the
+        # search left on the command's ladder; its output does not change
+        from feedbackq import solver
+
+        closes, solve = [], solver.solve_structured
+        monkeypatch.setattr(solver, "solve_structured", lambda *args: closes.append(1) or solve(*args))
+        argv = ["equilibrium", "--lambda", "1", "--mu", "0.8", "--q", "0.4", "--r0", "7.8"]
+        counts, outs = [], []
+        for extra in ([], ["--ess"]):
+            closes.clear()
+            code, out, _ = run_cli(capsys, *argv, *extra)
+            assert code == 0
+            counts.append(len(closes))
+            outs.append(json.loads(out))
+        assert counts[1] == counts[0] + 1
+        assert outs[1]["result"]["ess"]["is_ess"] is True
+        outs[1]["result"].pop("ess")
+        assert outs[1] == outs[0]
+
     def test_ess_checks_the_no_reneging_game_only(self, capsys):
         code, out, err = run_cli(
             capsys, "equilibrium", "--lambda", "1", "--mu", "0.8", "--q", "0.4",

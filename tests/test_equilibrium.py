@@ -394,6 +394,34 @@ class TestEssMatchesPerDeviationCheck:
 _RESCALED_CASES = [(c["lam"], c["mu"], c["q"], c["r0"]) for c in REFERENCE_CASES] + [(1.0, 0.8, 0.4, 2.0)]
 
 
+class TestEssOnTheSearchLadder:
+    def test_reads_the_held_root_and_gives_the_fresh_report(self, rng, monkeypatch):
+        # the ladder of nash_n holds its critical values and its mixed root, so
+        # ess_check on it closes only the payoff chain at x_e; the report and
+        # the certificate are those of a fresh ladder
+        mixed = 0
+        for i in range(12):
+            params = random_params(rng)
+            m = int(rng.integers(1, 8))
+            beta, alpha_next = critical_values(params, m).beta, critical_values(params, m + 1).alpha
+            params = params.with_r0(rng.uniform(beta, alpha_next) if i % 3 else rng.uniform(0.5, 2.0) * beta)
+            ladder = Ladder(params)
+            res = nash_n(params, ladder=ladder)
+            grid = np.round(np.arange(0.0, res.x + 2.0 + 1e-9, 0.05), 12)
+            fresh = ess_check(params, res.x, grid)
+            if res.case == CASE_MIXED:
+                mixed += 1
+                assert ladder.roots[res.m, params.r0] == (res.x, res.residual, res.root_evals)
+            closes = []
+            solve = solver.solve_structured
+            monkeypatch.setattr(solver, "solve_structured", lambda *args: closes.append(1) or solve(*args))
+            assert ess_check(params, res.x, grid, ladder=ladder) == fresh
+            monkeypatch.undo()
+            assert len(closes) == 1
+            assert nash_n(params, ladder=ladder) == res  # a held root reports its own search
+        assert mixed >= 8
+
+
 def _equilibria_and_ess(params: ModelParams):
     """Both equilibria, and the ESS reports at x_e and at 2.5, which is no
     equilibrium (in the first reference case it lies in x_e's band)."""
@@ -714,7 +742,7 @@ class TestHeldCriticalValues:
             assert len(closed) == res_r.root_evals + fresh
             closed.clear()
             assert nash_n(params, ladder=ladder) == res_n
-            assert len(closed) == res_n.root_evals
+            assert not closed  # the ladder holds the no-reneging root too
 
     def test_searches_on_one_ladder_equal_fresh_ones(self, rng):
         # either game first, then both again at a second reward, all on one

@@ -473,6 +473,28 @@ class TestStackedSolve:
             assert v.shape == (1, rhs.size)
             np.testing.assert_array_equal(v[0], solve_structured(single, rhs))
 
+    def test_a_stack_of_one_gives_the_single_chains_bytes(self, rng):
+        # a lone chain's levels expand from Python floats, a stack's from its
+        # rate rows: the same bytes in every variant, with one to three
+        # columns, off a ladder and on one (twice: the rungs, then a close
+        # that reads them)
+        for _ in range(12):
+            params = random_params(rng)
+            x = float(rng.integers(0, 9)) if rng.random() < 0.5 else float(rng.uniform(0.0, 9.0))
+            for variant in VARIANTS:
+                depth = chain_depth(qbd.as_threshold(x), variant != "nonreneging")
+                for width in (1, 2, 3):
+                    rhs = rng.uniform(-1.0, 1.0, (num_states(depth), width))
+                    rhs = rhs[:, 0] if width == 1 else rhs
+                    for on_ladder in (False, True):
+                        got = []
+                        for th in (x, [x]):
+                            ladder = Ladder(params) if on_ladder else None
+                            for _ in range(1 + on_ladder):
+                                v = solve_structured(build_chain(params, th, variant, ladder), rhs)
+                                got.append(v.reshape(rhs.shape).tobytes())
+                        assert got[: len(got) // 2] == got[len(got) // 2 :], (variant, x, width, on_ladder)
+
     def test_a_stack_of_repeated_integers(self, rng):
         # [k, k] joins at every level below k, one more shared level than a
         # stack with a fraction; on a ladder or not, each chain is its own solve
