@@ -191,13 +191,14 @@ def cmd_welfare(args: argparse.Namespace) -> int:
 def cmd_paradox(args: argparse.Namespace) -> int:
     params = _params_from(args)
     if args.r0_2 is not None:
-        base = nash_n(params)
+        ladder = Ladder(params)  # the comparison reads the search's critical values and root
+        base = nash_n(params, ladder=ladder)
         if base.case != CASE_MIXED:
             raise ValueError(
                 "the reward comparison needs a mixed equilibrium at --r0; "
                 f"got case {base.case!r}"
             )
-        report = paradox1_check(params, base.m, params.r0, args.r0_2)
+        report = paradox1_check(params, base.m, params.r0, args.r0_2, ladder=ladder)
     else:
         report = paradox2_check(params)
     payload = dataclasses.asdict(report)

@@ -91,17 +91,20 @@ def sojourn_gap_closed_form(params: ModelParams, x: float) -> float:
     return gap
 
 
-def paradox1_check(params_base: ModelParams, m: int, r1: float, r2: float) -> ParadoxReport:
+def paradox1_check(
+    params_base: ModelParams, m: int, r1: float, r2: float, *, ladder: Ladder | None = None
+) -> ParadoxReport:
     """Compare equilibrium payoffs at two rewards inside one mixed band.
 
     Requires beta_m < r1 <= r2 < alpha_{m+1}; with r1 < r2 the payoff at
     position m strictly drops when the reward rises.  Proved for m in {1, 2};
-    larger m is flagged as extrapolation.
+    larger m is flagged as extrapolation.  On the ``ladder`` of a search at
+    these rates, the critical values and roots it holds are not closed again.
     """
     m = positive_int(m, "m")
     if not r1 <= r2:
         raise ValueError(f"rewards must satisfy r1 <= r2, got {r1} > {r2}")
-    ladder = Ladder(params_base)  # the sojourn layout does not depend on the reward
+    ladder = ladder or Ladder(params_base)  # the sojourn layout does not depend on the reward
     cv = critical_values(params_base, m, with_gamma=False, ladder=ladder)
     alpha_next = critical_values(params_base, m + 1, with_gamma=False, ladder=ladder).alpha
     if not (cv.beta < r1 and r2 < alpha_next):

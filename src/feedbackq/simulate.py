@@ -19,13 +19,14 @@ joining or balking at the boundary, success, failure staying or leaving),
 and the queue length moves by one lookup ``k = table[code + k]``.  A tagged
 replication's queue length steps so, and its own place i by arithmetic on
 the class; the live replications of a batch step together.  The ergodic
-queue length steps up to three events per lookup in a composed table (one
-``itertools.accumulate`` step per tuple of events, then one gather per
-offset inside the tuples), and the rest is vectorised over sub-blocks of
-events: holding times, event times by a cumulative sum, batch membership,
-occupancy and counts summed in event order.  A renege-fraction run only
-counts, so it skips the clock: no holding or event times, no occupancy.
-Payoff tracking treats the queue as a run of slots, each service
+queue length steps a chunk at a time by a blocked scan over a table
+composed for tuples of up to three events: numpy gathers compose each
+block's map, a Python walk makes one lookup per block, and gathers fill in
+the lengths inside the blocks.  The rest is vectorised over the chunk:
+holding times, event times by a cumulative sum, batch membership, occupancy
+and counts summed in event order.  A renege-fraction run only counts, so it
+skips the clock: no holding or event times, no occupancy.  Payoff tracking,
+sub-block by sub-block, treats the queue as a run of slots, each service
 reading the head slot and each join or staying failure appending one, and
 resolves every slot to its customer's join time by pointer doubling.
 Outputs equal those of the earlier masked and per-event engines bit for bit.
@@ -56,15 +57,19 @@ MODE_R = "r"
 #: geometric tails, so hitting this means a bug, not a slow run.
 MAX_BATCH_STEPS = 10_000_000
 
-#: Ergodic runs draw their randoms in chunks of this many events and do the
-#: vectorised bookkeeping in sub-blocks of this many, which bounds the
-#: transient arrays and the one Python list each sub-block builds.
+#: Ergodic runs draw their randoms and step in chunks of this many events,
+#: and track payoffs in sub-blocks of this many, which bounds the arrays of
+#: its pointer doubling.
 CHUNK = 1 << 16
 SUB_BLOCK = 4096
 
 #: Largest composed stepping table (entries) that :class:`_Stepper` builds;
 #: x = 50 still steps three events per lookup.
 STEP_TABLE_MAX = 1 << 18
+
+#: Tuples per block of :class:`_Stepper`'s scan: one Python lookup walks a
+#: block.
+SCAN_BLOCK = 32
 
 #: Tagged replications run in batches of this many, one spawned child
 #: stream each; ergodic runs report batch means over this many batches.
@@ -307,49 +312,49 @@ def _population_run(config: SimConfig, track_payoffs: bool, clock: bool = True):
     # head first.
     queue_t = np.empty(0)
     queue_b = np.empty(0, dtype=np.int64)
-    for chunk_start in range(0, config.events, CHUNK):
+    for first in range(0, config.events, CHUNK):
         rng.standard_exponential(out=exps)
         rng.random(out=us)
         rng.random(out=vs)
         rng.random(out=ws)
-        chunk_events = min(CHUNK, config.events - chunk_start)
-        for lo in range(0, chunk_events, SUB_BLOCK):
-            hi = min(lo + SUB_BLOCK, chunk_events)
-            e, u, v, w = exps[lo:hi], us[lo:hi], vs[lo:hi], ws[lo:hi]
-            arrives, succeeds = u < pr_arrival, v < q
-            # The one sequential step: the queue length before each event.
-            ks = step(arrives + 2 * (v < p) + 4 * succeeds + 8 * (w < p), k)
-            k = int(ks[-1])
-            if k > kmax:
-                raise RuntimeError("population exceeded its reachable level; dynamics are broken")
-            before, after = ks[:-1], ks[1:]
-            joined = after > before
-            leaves = (after < before) & ~succeeds  # only a service lowers k
+        size = min(CHUNK, config.events - first)
+        e, u, v, w = exps[:size], us[:size], vs[:size], ws[:size]
+        arrives, succeeds = u < pr_arrival, v < q
+        # The one sequential step: the queue length before each event.
+        ks = step(arrives + 2 * (v < p) + 4 * succeeds + 8 * (w < p), k)
+        k = int(ks[-1])
+        if k > kmax:
+            raise RuntimeError("population exceeded its reachable level; dynamics are broken")
+        before, after = ks[:-1], ks[1:]
+        joined = after > before
+        leaves = (after < before) & ~succeeds  # only a service lowers k
 
-            first = chunk_start + lo
-            win = min(max(warmup_events - first, 0), hi - lo)
-            batch = np.full(hi - lo, -1, dtype=np.int64)
-            batch[win:] = np.searchsorted(bounds, np.arange(first + win, first + hi - lo), "right")
-            in_batch = batch[win:]
-            joins += np.bincount(in_batch[joined[win:]], minlength=n_batches)
-            reneges += np.bincount(in_batch[leaves[win:]], minlength=n_batches)
-            if not clock:
-                continue
-            arrival = (before == 0) | arrives
-            service = ~arrival
-            success = service & succeeds
+        win = min(max(warmup_events - first, 0), size)
+        batch = np.full(size, -1, dtype=np.int64)
+        batch[win:] = np.searchsorted(bounds, np.arange(first + win, first + size), "right")
+        in_batch = batch[win:]
+        joins += np.bincount(in_batch[joined[win:]], minlength=n_batches)
+        reneges += np.bincount(in_batch[leaves[win:]], minlength=n_batches)
+        if not clock:
+            continue
+        arrival = (before == 0) | arrives
+        service = ~arrival
+        success = service & succeeds
 
-            dt = np.where(before == 0, e / lam, e / (lam + mu))
-            times = np.cumsum(np.concatenate(([now], dt)))[1:]  # the sequential sum
-            now = times[-1]
-            # add.at adds in event order, so every cell sums as the loop did.
-            np.add.at(occupancy, (in_batch, before[win:]), dt[win:])
-            payoff_counts += np.bincount(in_batch[arrival[win:]], minlength=n_batches)
-            if track_payoffs:
-                queue_t, queue_b = _track_payoffs(
-                    queue_t, queue_b, service, success, leaves, joined, times, batch,
-                    params.r0, payoff_sums,
-                )
+        dt = np.where(before == 0, e / lam, e / (lam + mu))
+        times = np.cumsum(np.concatenate(([now], dt)))[1:]  # the sequential sum
+        now = times[-1]
+        # add.at adds in event order, so every cell sums as the loop did.
+        np.add.at(occupancy, (in_batch, before[win:]), dt[win:])
+        payoff_counts += np.bincount(in_batch[arrival[win:]], minlength=n_batches)
+        if not track_payoffs:
+            continue
+        for lo in range(0, size, SUB_BLOCK):
+            part = slice(lo, lo + SUB_BLOCK)
+            queue_t, queue_b = _track_payoffs(
+                queue_t, queue_b, service[part], success[part], leaves[part], joined[part],
+                times[part], batch[part], params.r0, payoff_sums,
+            )
     if track_payoffs:
         # Arrivals still in flight never resolve a payoff; drop them from the
         # denominator rather than counting them as zero.
@@ -383,15 +388,17 @@ def _transition_table(n: int, p: float, kmax: int, reneging: bool) -> tuple[list
 
 
 class _Stepper:
-    """Queue-length stepping over :func:`_transition_table`, ``t`` events
-    per Python lookup.
+    """Queue-length stepping over :func:`_transition_table`: ``t`` events per
+    tuple, ``width`` tuples per block and one Python lookup per block.
 
     The composed table maps a tuple of t event classes and the queue length
     before them to the length after them:
     ``composed[(c1 * 16 + c2) * 16 + c3, k] = table[c3, table[c2, table[c1, k]]]``.
-    t is 3 or 2 if that table fits ``STEP_TABLE_MAX`` entries, else 1.  The
-    spare level kmax + 1 stays absorbing under composition, so a run that
-    reaches it still ends there.
+    t is 3 or 2 if that table fits ``STEP_TABLE_MAX`` entries, else 1.  A last
+    row, the identity, pads the last block.  The spare level kmax + 1 stays
+    absorbing under composition, so a run that reaches it still ends there.
+    A block's map costs one gather per level per tuple, less than the Python
+    lookups it saves only up to 64 levels (t = 3): wider tables walk tuples.
     """
 
     def __init__(self, table: list[int], stride: int) -> None:
@@ -400,26 +407,45 @@ class _Stepper:
         composed = single
         for _ in range(self.t - 1):
             composed = single[np.arange(16)[:, None], composed[:, None, :]].reshape(-1, stride)
-        self.lookup = composed.ravel().tolist()
+        self.composed = np.vstack((composed, np.arange(stride))).ravel()
+        self.width = SCAN_BLOCK if self.t == 3 else 1
+        self.lookup = self.composed.tolist() if self.width == 1 else None
         self.single = single.ravel()
         self.stride = stride
 
     def __call__(self, classes: np.ndarray, k: int) -> np.ndarray:
-        """The queue length before every event and after the last, from k:
-        one lookup per tuple, then one gather per offset fills the lengths
-        inside the tuples, and leftover events step singly."""
-        t, stride, lookup, single = self.t, self.stride, self.lookup, self.single
+        """The queue length before every event and after the last, from k, by
+        a blocked scan (Blelloch 1990): gathers compose all blocks' maps on
+        every level, tuple by tuple; the walk reads each block's map at its
+        start; gathers fill in the tuples, then the events inside and after."""
+        t, stride, composed, single, width = self.t, self.stride, self.composed, self.single, self.width
         events = len(classes)
         whole = events - events % t
-        packed = classes[0:whole:t]
+        tuples = whole // t
+        blocks = -(-tuples // width)
+        codes = np.full(blocks * width, 16**t, dtype=np.int64)
+        codes[:tuples] = classes[0:whole:t]
         for offset in range(1, t):
-            packed = 16 * packed + classes[offset:whole:t]
+            codes[:tuples] = 16 * codes[:tuples] + classes[offset:whole:t]
+        codes = (stride * codes).reshape(blocks, width).T.copy()  # codes[j, b]: block b's tuple j
+        if width == 1:
+            flat, bases = self.lookup, codes[0].tolist()
+        else:
+            maps = np.repeat(np.arange(stride), blocks).reshape(stride, blocks)  # [level, block]
+            at = np.empty_like(maps)
+            for row in codes:
+                np.add(maps, row, out=at)
+                composed.take(at, out=maps, mode="clip")  # in range, so unchecked and unbuffered
+            flat, bases = memoryview(maps.T.ravel()), range(0, blocks * stride, stride)
+        walk = accumulate(bases, lambda k, base: flat[base + k], initial=k)
+        starts = np.fromiter(walk, dtype=np.int64, count=blocks + 1)
+        inner = np.empty((width, blocks), dtype=np.int64)
+        inner[0] = starts[:-1]
+        for j in range(1, width):
+            inner[j] = composed[codes[j - 1] + inner[j - 1]]
         ks = np.empty(events + 1, dtype=np.int64)
-        ks[0 : whole + 1 : t] = np.fromiter(
-            accumulate((stride * packed).tolist(), lambda k, code: lookup[code + k], initial=k),
-            dtype=np.int64,
-            count=whole // t + 1,
-        )
+        ks[0:whole:t] = inner.T.ravel()[:tuples]
+        ks[whole] = starts[-1]
         for offset in range(1, t):
             before = ks[offset - 1 : whole : t]
             ks[offset:whole:t] = single[stride * classes[offset - 1 : whole : t] + before]

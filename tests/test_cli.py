@@ -310,6 +310,28 @@ class TestParadox:
         assert record["result"]["kind"] == "reward_increase"
         assert record["result"]["all_hold"] is True
 
+    def test_reward_comparison_reads_the_search_ladder(self, capsys, monkeypatch):
+        # the check reads the critical values and the root at --r0 that the
+        # search left on the command's ladder: it closes r2's root and the two
+        # payoff chains, 21 closes in all where a fresh check made 32
+        from feedbackq import Ladder, ModelParams, nash_n, paradox1_check, solver
+
+        closes, solve = [], solver.solve_structured
+        monkeypatch.setattr(solver, "solve_structured", lambda *args: closes.append(1) or solve(*args))
+        params = ModelParams(1.0, 0.8, 0.4, 7.8)
+        ladder = Ladder(params)
+        base = nash_n(params, ladder=ladder)
+        search = len(closes)
+        paradox1_check(params, base.m, 7.8, 7.9, ladder=ladder)
+        library = len(closes)
+        closes.clear()
+        code, _, _ = run_cli(
+            capsys, "paradox", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
+            "--r0", "7.8", "--r0-2", "7.9",
+        )
+        assert code == 0
+        assert len(closes) == library == 21 and library - search == 10
+
     def test_reward_comparison_requires_mixed_base(self, capsys):
         code, _, err = run_cli(
             capsys, "paradox", "--lambda", "1", "--mu", "0.8", "--q", "0.4",

@@ -108,6 +108,34 @@ class TestRewardIncrease:
         report = paradox1_check(params, 3, r1, r2)
         assert report.conjecture
 
+    def test_on_the_search_ladder_closes_only_what_the_search_did_not(self, rng, monkeypatch):
+        # The nash_n search at r1 leaves the critical values and its root on
+        # its ladder; the check on that ladder closes r2's root and the two
+        # payoff chains, and gives the report of a fresh ladder.
+        from feedbackq import Ladder, solver
+
+        closes = []
+        solve = solver.solve_structured
+        monkeypatch.setattr(solver, "solve_structured", lambda *args: closes.append(1) or solve(*args))
+
+        def closed(call):
+            closes.clear()
+            return call(), len(closes)
+
+        for i in range(9):
+            params = random_params(rng)
+            m = 1 + i % 3
+            beta, alpha_next = critical_values(params, m).beta, critical_values(params, m + 1).alpha
+            r1, r2 = sorted(rng.uniform(beta, alpha_next, 2))
+            params = params.with_r0(r1)
+            fresh, fresh_closes = closed(lambda: paradox1_check(params, m, r1, r2))
+            ladder = Ladder(params)
+            res, search_closes = closed(lambda: nash_n(params, ladder=ladder))
+            report, ladder_closes = closed(lambda: paradox1_check(params, m, r1, r2, ladder=ladder))
+            assert res.m == m and report == fresh
+            assert ladder_closes == fresh_closes - search_closes
+            assert ladder_closes == nash_n(params.with_r0(r2)).root_evals + 2
+
     @pytest.mark.parametrize("m", [True, False, 2.0])
     def test_rejects_bool_and_float_m(self, m):
         with pytest.raises(ValueError):

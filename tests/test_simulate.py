@@ -21,6 +21,7 @@ from feedbackq import simulate
 from feedbackq.model import as_threshold, chain_depth
 from feedbackq.simulate import (
     BATCH_SIZE,
+    SCAN_BLOCK,
     STEP_TABLE_MAX,
     _population_run,
     _Stepper,
@@ -331,6 +332,7 @@ def _step_cases():
 
 class TestComposedStepping:
     LENGTHS = (0, 1, 2, 3, 4, 5, 6, 97, 98, 99, 100)
+    LONG = (95, 96, 97, 191, 192, 193, 3 * 96 + 1, 65_534, 65_535, 65_536)
 
     @staticmethod
     def single_steps(table, stride, classes, k):
@@ -358,10 +360,33 @@ class TestComposedStepping:
             # The spare level flags broken dynamics: nothing leaves it.
             assert set(step(classes, kmax + 1).tolist()) == {kmax + 1}
 
+    @pytest.mark.parametrize("case", _step_cases(), ids=str)
+    def test_scan_across_blocks_equals_single_steps(self, case):
+        # Lengths around one, two and three blocks of SCAN_BLOCK triples and
+        # up to a whole chunk, with every remainder of a tuple and a block.
+        n, p, kmax, reneging = case
+        table, stride = _transition_table(n, p, kmax, reneging)
+        step = _Stepper(table, stride)
+        assert step.width == (SCAN_BLOCK if step.t == 3 else 1)
+        classes = np.random.default_rng(kmax + 1).integers(0, 16, self.LONG[-1])
+        for k in (0, kmax, kmax + 1):
+            want = self.single_steps(table, stride, classes, k)
+            for length in self.LONG:
+                got = step(classes[:length], k)
+                assert got.dtype == np.int64 and got.tolist() == want[: length + 1]
+        # The spare level flags broken dynamics: no block or tuple leaves it.
+        assert set(step(classes, kmax + 1).tolist()) == {kmax + 1}
+
     def test_cases_cover_every_tuple_size(self):
         cases = _step_cases()
         steps = [_Stepper(*_transition_table(n, p, kmax, r)) for n, p, kmax, r in cases]
         assert {s.t for s in steps} == {1, 2, 3}
+        assert {s.width for s in steps} == {1, SCAN_BLOCK}
+        block = 3 * SCAN_BLOCK
+        assert {length % 3 for length in self.LONG} == {0, 1, 2}
+        assert {length % 2 for length in self.LONG} == {0, 1}
+        assert {length % block for length in self.LONG} >= {0, 1, block - 1}
+        assert max(self.LONG) == simulate.CHUNK and max(self.LONG) // block > 1
         assert _Stepper(*_transition_table(50, 0.5, 51, False)).t == 3  # x = 50.5
         assert {kmax for _, _, kmax, _ in cases} >= {0, 1, 50}
         assert {r for *_, r in cases} == {False, True}
@@ -371,14 +396,17 @@ class TestComposedStepping:
     def test_composed_table_spans_every_class_tuple(self):
         # Walking each three-class tuple through the single table gives the
         # composed entry, at every level including the spare one.
+        # The row after them, which pads the last block, is the identity.
         table, stride = _transition_table(2, 0.4, 3, True)
         step = _Stepper(table, stride)
-        assert step.t == 3 and len(step.lookup) == 16**3 * stride
+        composed = step.composed.tolist()
+        assert step.t == 3 and len(composed) == (16**3 + 1) * stride
         for code in range(16**3):
             c1, c2, c3 = code >> 8, code >> 4 & 15, code & 15
             for k in range(stride):
                 walked = table[stride * c3 + table[stride * c2 + table[stride * c1 + k]]]
-                assert step.lookup[stride * code + k] == walked
+                assert composed[stride * code + k] == walked
+        assert composed[16**3 * stride :] == list(range(stride))
 
 
 def _tagged_draws():

@@ -15,14 +15,16 @@ The timed close is the no-reneging sojourn chain at the integer threshold
 depth - 1, on a ladder whose rungs (levels 1 .. depth - 2) are already
 eliminated, so the close eliminates two levels of its own: the alpha/beta
 close of an equilibrium ascent.  Each timed call gets its own copy of that
-ladder.  For each depth the phases are the chain build (``build_chain``),
-the elimination (``solver._eliminate``), the residual check
-(``residual_norm``) and the whole close (build and ``solve_structured``);
-back-substitution is the solve with its residual check switched off, less
-the elimination.  Each timed call's figure is its fastest pass over all
-the tree's processes, a pass being the mean of ``--number`` calls (fewer at
-depth 62), in µs; the phases are taken from those figures, and a phase's
-spread is its range over the phases each process gives alone.
+ladder.  Every phase is timed on its own, over inputs made before the timer
+starts: the chain build (``build_chain`` on a ladder copy), the elimination
+(``solver._eliminate`` on a built chain), the back-substitution
+(``solve_structured`` on a built chain, with the elimination handing back
+the k and h it stored and the residual check off), the residual check
+(``residual_norm``) and the whole close (build and ``solve_structured`` on
+a ladder copy).  No phase is a difference of two timed calls.  A phase's
+figure is its fastest pass over all the tree's processes, a pass being the
+mean of ``--number`` calls (fewer at depth 62), in µs; its spread is its
+range over the processes' own fastest passes.
 
 The digest is the sha256 over the solution and the residual of every close
 in a seeded set: all three variants, single chains, stacks and stacks of
@@ -33,6 +35,7 @@ trees that solve alike print the same digest.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
@@ -47,8 +50,10 @@ VARIANTS = ("nonreneging", "reneging_tagged", "reneging_all")
 DIGEST_SEED = 22
 
 
-def _phases(depth: int):
-    """The timed calls at one depth: phase name -> zero-argument callable."""
+def _phases(depth: int) -> dict:
+    """The phases at one depth: name -> (make, call, stored), where ``make()``
+    gives one call's input and ``stored`` is the k and h that the elimination
+    hands back while the phase runs (None: it eliminates)."""
     from feedbackq import Ladder, ModelParams, build_chain, build_rhs_sojourn, residual_norm, solve_structured
     from feedbackq import solver
 
@@ -62,53 +67,56 @@ def _phases(depth: int):
     def ladder() -> Ladder:
         return Ladder(params, list(base.joining), base.cols)
 
-    blocks = build_chain(params, x, "nonreneging", ladder())
+    def chain() -> object:
+        return build_chain(params, x, "nonreneging", ladder())
+
+    blocks = chain()
     v = solve_structured(blocks, rhs)
-
-    def unchecked() -> None:
-        check, solver._check_residual = solver._check_residual, lambda *args: None
-        try:
-            solve_structured(build_chain(params, x, "nonreneging", ladder()), rhs)
-        finally:
-            solver._check_residual = check
-
     return {
-        "build": lambda: build_chain(params, x, "nonreneging", ladder()),
-        "elimination": lambda: solver._eliminate(build_chain(params, x, "nonreneging", ladder()), cols),
-        "unchecked": unchecked,
-        "residual": lambda: residual_norm(blocks, v, rhs),
-        "close": lambda: solve_structured(build_chain(params, x, "nonreneging", ladder()), rhs),
-        "setup": lambda: ladder(),
+        "build": (ladder, lambda lad: build_chain(params, x, "nonreneging", lad), None),
+        "elimination": (chain, lambda blk: solver._eliminate(blk, cols), None),
+        "back_substitution": (lambda: blocks, lambda blk: solve_structured(blk, rhs),
+                              solver._eliminate(chain(), cols)),
+        "residual": (lambda: blocks, lambda blk: residual_norm(blk, v, rhs), None),
+        "close": (ladder, lambda lad: solve_structured(build_chain(params, x, "nonreneging", lad), rhs),
+                  None),
     }
 
 
+@contextlib.contextmanager
+def _stored(stored):
+    """Within the block, the elimination hands back ``stored`` and the
+    residual check passes; nothing changes if ``stored`` is None."""
+    from feedbackq import solver
+
+    if stored is None:
+        yield
+        return
+    eliminate, check = solver._eliminate, solver._check_residual
+    solver._eliminate, solver._check_residual = (lambda *args: stored), (lambda *args: None)
+    try:
+        yield
+    finally:
+        solver._eliminate, solver._check_residual = eliminate, check
+
+
 def close_times(passes: int, number: int) -> dict:
-    """Each timed call's best time at each depth, in µs."""
+    """Each phase's fastest pass at each depth, in µs."""
     out = {}
     for depth in DEPTHS:
         phases = _phases(depth)
         count = max(number * 12 // max(depth, 12), 1)
         best = dict.fromkeys(phases, float("inf"))
         for _ in range(passes):
-            for name, call in phases.items():
-                start = time.perf_counter()
-                for _ in range(count):
-                    call()
-                best[name] = min(best[name], (time.perf_counter() - start) / count * 1e6)
+            for name, (make, call, stored) in phases.items():
+                inputs = [make() for _ in range(count)]
+                with _stored(stored):
+                    start = time.perf_counter()
+                    for item in inputs:
+                        call(item)
+                    best[name] = min(best[name], (time.perf_counter() - start) / count * 1e6)
         out[str(depth)] = best
     return out
-
-
-def phases(best: dict) -> dict:
-    """The phases at one depth from its timed calls' best times: every timed
-    call but the residual's copies a ladder and builds the chain."""
-    return {
-        "build": best["build"] - best["setup"],
-        "elimination": best["elimination"] - best["build"],
-        "back_substitution": best["unchecked"] - best["elimination"],
-        "residual": best["residual"],
-        "close": best["close"] - best["setup"],
-    }
 
 
 def close_digest() -> str:
@@ -163,11 +171,10 @@ def main() -> None:
         if len(digests) != 1:
             raise SystemExit(f"{tree}: processes disagree on the close digest: {sorted(digests)}")
         best, spread = {}, {}
-        for depth, calls in results[0]["best_us"].items():
-            best[depth] = phases({name: min(r["best_us"][depth][name] for r in results) for name in calls})
-            each = [phases(r["best_us"][depth]) for r in results]
-            spread[depth] = {name: max(p[name] for p in each) - min(p[name] for p in each)
-                             for name in each[0]}
+        for depth, phases in results[0]["best_us"].items():
+            each = {name: [r["best_us"][depth][name] for r in results] for name in phases}
+            best[depth] = {name: min(us) for name, us in each.items()}
+            spread[depth] = {name: max(us) - min(us) for name, us in each.items()}
         out[tree] = {"digest": digests.pop(), "best_us": best, "spread_us": spread}
     print(json.dumps({"processes": args.processes, "trees": out}))
 
