@@ -23,12 +23,12 @@ queue length steps a chunk at a time by a blocked scan over a table
 composed for tuples of up to three events: numpy gathers compose each
 block's map, a Python walk makes one lookup per block, and gathers fill in
 the lengths inside the blocks.  The rest is vectorised over the chunk:
-holding times, event times by a cumulative sum, batch membership, occupancy
-and counts summed in event order.  A renege-fraction run only counts, so it
-skips the clock: no holding or event times, no occupancy.  Payoff tracking,
-sub-block by sub-block, treats the queue as a run of slots, each service
-reading the head slot and each join or staying failure appending one, and
-resolves every slot to its customer's join time by pointer doubling.
+counts per batch, holding times, event times by a cumulative sum, and
+occupancy summed in event order.  A renege-fraction run only counts, so it
+skips the clock: no holding or event times, no occupancy.  Payoff tracking
+treats the queue as a run of slots, each service reading the head slot and
+each join or staying failure appending one, and resolves every slot to its
+customer's join time by pointer doubling.
 Outputs equal those of the earlier masked and per-event engines bit for bit.
 """
 
@@ -57,11 +57,9 @@ MODE_R = "r"
 #: geometric tails, so hitting this means a bug, not a slow run.
 MAX_BATCH_STEPS = 10_000_000
 
-#: Ergodic runs draw their randoms and step in chunks of this many events,
-#: and track payoffs in sub-blocks of this many, which bounds the arrays of
-#: its pointer doubling.
+#: Ergodic runs draw their randoms and do their array work in chunks of this
+#: many events.
 CHUNK = 1 << 16
-SUB_BLOCK = 4096
 
 #: Largest composed stepping table (entries) that :class:`_Stepper` builds;
 #: x = 50 still steps three events per lookup.
@@ -320,40 +318,43 @@ def _population_run(config: SimConfig, track_payoffs: bool, clock: bool = True):
         size = min(CHUNK, config.events - first)
         e, u, v, w = exps[:size], us[:size], vs[:size], ws[:size]
         arrives, succeeds = u < pr_arrival, v < q
-        # The one sequential step: the queue length before each event.
-        ks = step(arrives + 2 * (v < p) + 4 * succeeds + 8 * (w < p), k)
+        # The one sequential step: the queue length before each event.  The
+        # classes' bits add up fastest as bytes.
+        bits = (arrives, v < p, succeeds, w < p)
+        ks = step(sum(b.view(np.uint8) << i for i, b in enumerate(bits)).astype(np.int64), k)
         k = int(ks[-1])
         if k > kmax:
             raise RuntimeError("population exceeded its reachable level; dynamics are broken")
         before, after = ks[:-1], ks[1:]
         joined = after > before
         leaves = (after < before) & ~succeeds  # only a service lowers k
+        arrival = (before == 0) | arrives
 
         win = min(max(warmup_events - first, 0), size)
-        batch = np.full(size, -1, dtype=np.int64)
-        batch[win:] = np.searchsorted(bounds, np.arange(first + win, first + size), "right")
-        in_batch = batch[win:]
-        joins += np.bincount(in_batch[joined[win:]], minlength=n_batches)
-        reneges += np.bincount(in_batch[leaves[win:]], minlength=n_batches)
+        # Batch b holds the chunk's events starts[b]:ends[b], none if they are equal.
+        ends = np.clip(bounds - first, win, size)
+        starts = np.concatenate(([win], ends[:-1]))
+        for b in np.flatnonzero(ends > starts):
+            part = slice(starts[b], ends[b])
+            joins[b] += np.count_nonzero(joined[part])
+            reneges[b] += np.count_nonzero(leaves[part])
+            payoff_counts[b] += np.count_nonzero(arrival[part])
         if not clock:
             continue
-        arrival = (before == 0) | arrives
         service = ~arrival
         success = service & succeeds
+        batch = np.full(size, -1, dtype=np.int64)
+        batch[win:] = np.repeat(np.arange(n_batches), ends - starts)
 
         dt = np.where(before == 0, e / lam, e / (lam + mu))
         times = np.cumsum(np.concatenate(([now], dt)))[1:]  # the sequential sum
         now = times[-1]
         # add.at adds in event order, so every cell sums as the loop did.
-        np.add.at(occupancy, (in_batch, before[win:]), dt[win:])
-        payoff_counts += np.bincount(in_batch[arrival[win:]], minlength=n_batches)
-        if not track_payoffs:
-            continue
-        for lo in range(0, size, SUB_BLOCK):
-            part = slice(lo, lo + SUB_BLOCK)
+        np.add.at(occupancy, (batch[win:], before[win:]), dt[win:])
+        if track_payoffs:
             queue_t, queue_b = _track_payoffs(
-                queue_t, queue_b, service[part], success[part], leaves[part], joined[part],
-                times[part], batch[part], params.r0, payoff_sums,
+                queue_t, queue_b, service, success, leaves, joined, times, batch, params.r0,
+                payoff_sums,
             )
     if track_payoffs:
         # Arrivals still in flight never resolve a payoff; drop them from the
@@ -437,8 +438,7 @@ class _Stepper:
                 np.add(maps, row, out=at)
                 composed.take(at, out=maps, mode="clip")  # in range, so unchecked and unbuffered
             flat, bases = memoryview(maps.T.ravel()), range(0, blocks * stride, stride)
-        walk = accumulate(bases, lambda k, base: flat[base + k], initial=k)
-        starts = np.fromiter(walk, dtype=np.int64, count=blocks + 1)
+        starts = np.fromiter(accumulate(bases, lambda k, b: flat[b + k], initial=k), np.int64, blocks + 1)
         inner = np.empty((width, blocks), dtype=np.int64)
         inner[0] = starts[:-1]
         for j in range(1, width):
@@ -455,13 +455,13 @@ class _Stepper:
 
 
 def _track_payoffs(queue_t, queue_b, service, success, leaves, joined, times, batch, r0, payoff_sums):
-    """Follow one sub-block's customers through the FIFO with feedback.
+    """Follow one chunk's customers through the FIFO with feedback.
 
     The queue is a run of slots: each service reads the head slot, and each
     join or failed-and-staying customer appends one.  A stay's slot points at
     the slot it read, so resolving pointers (by doubling) gives every slot its
     customer's join time and batch.  Departures add their realised payoff in
-    event order; the unread slots are the queue carried into the next block.
+    event order; the unread slots are the queue carried into the next chunk.
     """
     held = len(queue_t)
     read = np.cumsum(service) - 1  # slot read by each service
