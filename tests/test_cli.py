@@ -10,6 +10,9 @@ import pytest
 
 from feedbackq import cli
 from feedbackq.cli import build_parser, main
+from feedbackq.equilibrium import EssReport
+
+from conftest import random_params
 
 
 def run_cli(capsys, *argv):
@@ -72,6 +75,43 @@ class TestSojourn:
         record = json.loads(out)
         assert record["result"]["kind"] == "payoff_r_tagged"
         assert len(record["result"]["rows"]) == 3
+
+    def test_payoff_column_is_reward_minus_sojourn(self, capsys):
+        rng = np.random.default_rng(121)
+        for _ in range(20):
+            params = random_params(rng, (0.5, 20.0))
+            x = float(rng.choice([rng.integers(0, 8), rng.uniform(0.0, 8.0)]))
+            code, out, _ = run_cli(
+                capsys, "sojourn", "--lambda", repr(params.lam), "--mu", repr(params.mu),
+                "--q", repr(params.q), "--r0", repr(params.r0), "--threshold", repr(x),
+                "--full", "--format", "json",
+            )
+            assert code == 0
+            rows = json.loads(out)["result"]["rows"]
+            assert all(row["payoff"] == params.r0 - row["value"] for row in rows)
+        code, out, _ = run_cli(
+            capsys, "sojourn", "--lambda", "1", "--mu", "0.8", "--q", "0.4", "--r0", "7.8",
+            "--threshold", "2.5",
+        )
+        assert code == 0
+        assert out.split("\n")[0] == "i,j,value,payoff"
+
+    def test_tagged_threshold_at_the_population_threshold(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "sojourn", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
+            "--r0", "7.5", "--threshold", "2.5", "--mode", "r",
+            "--tagged-threshold", "2.5", "--format", "json",
+        )
+        assert code == 0
+        assert json.loads(out)["result"]["kind"] == "payoff_r_all"
+
+    def test_tagged_threshold_below_the_ceiling_exits_two(self, capsys):
+        code, out, err = run_cli(
+            capsys, "sojourn", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
+            "--r0", "7.5", "--threshold", "2.5", "--mode", "r", "--tagged-threshold", "2.7",
+        )
+        assert (code, out) == (2, "")
+        assert "must equal the population threshold" in json.loads(err)["error"]
 
 
 class TestEquilibrium:
@@ -137,6 +177,19 @@ class TestEquilibrium:
         assert outs[1]["result"]["ess"]["is_ess"] is True
         outs[1]["result"].pop("ess")
         assert outs[1] == outs[0]
+
+    @pytest.mark.parametrize("note, exit_code", [("", 1), ("a failure the check explains", 0)])
+    def test_ess_failure_exits_one_unless_explained(self, capsys, monkeypatch, note, exit_code):
+        report = EssReport(x=2.0, is_ess=False, checked=3, strict_best=2, tie_resolved=0,
+                           failures=(1.5,), note=note)
+        monkeypatch.setattr(cli, "ess_check", lambda *args, **kwargs: report)
+        code, out, _ = run_cli(
+            capsys, "equilibrium", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
+            "--r0", "7.8", "--ess",
+        )
+        assert code == exit_code
+        ess = json.loads(out)["result"]["ess"]
+        assert (ess["is_ess"], ess["failures"], ess["note"]) == (False, [1.5], note)
 
     def test_ess_checks_the_no_reneging_game_only(self, capsys):
         code, out, err = run_cli(
@@ -373,6 +426,13 @@ class TestSimulate:
         assert record["result"]["what"] == "stationary"
         assert len(record["result"]["histogram"]) == len(record["result"]["histogram_analytic"])
 
+    def test_tagged_run_needs_a_start(self, capsys):
+        code, out, err = run_cli(
+            capsys, "simulate", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
+            "--threshold", "2.073", "--what", "tagged", "--reps", "10",
+        )
+        assert (code, out) == (2, "")
+        assert json.loads(err)["error"] == "tagged runs need --start i,j"
 
     @pytest.mark.parametrize("start", ["2,2,3", "2", "a,b", "2.5,3"])
     def test_malformed_start_names_the_flag(self, capsys, start):

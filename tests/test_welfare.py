@@ -139,6 +139,10 @@ class TestDerivative:
         with pytest.raises(ValueError):
             welfare_derivative(FIG_PARAMS, 2.0, "n")
 
+    def test_unknown_mode_rejected(self):
+        with pytest.raises(ValueError, match="mode must be 'n' or 'r'"):
+            welfare_derivative(FIG_PARAMS, 2.5, "x")
+
     @pytest.mark.parametrize("x", [0.5, 2.5, 7.3, 40.5])
     @pytest.mark.parametrize("mode", ["n", "r"])
     def test_balanced_load_matches_finite_differences(self, x, mode):
