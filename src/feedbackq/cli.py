@@ -36,7 +36,6 @@ from .simulate import SimConfig, simulate_renege_fraction, simulate_stationary, 
 from .solver import (
     RESIDUAL_TOL,
     ConsistencyError,
-    payoff_vector_n,
     payoff_vector_r_all,
     payoff_vector_r_tagged,
     sojourn_vector,
@@ -91,7 +90,7 @@ def cmd_sojourn(args: argparse.Namespace) -> int:
     x = args.threshold
     if args.mode == "n":
         vec = sojourn_vector(params, x)
-        payoffs = payoff_vector_n(params, x) if args.r0 else None
+        with_payoff = bool(args.r0)
     else:
         if not args.r0:
             raise ValueError("the reneging table needs --r0 to value successful completions")
@@ -107,7 +106,7 @@ def cmd_sojourn(args: argparse.Namespace) -> int:
                 "--tagged-threshold must equal the population threshold or be at "
                 "least its ceiling (a never-reneging tagged customer)"
             )
-        payoffs = None
+        with_payoff = False
 
     states = range(1, vec.depth + 1) if not args.full else range(1, len(vec.values) + 1)
     rows = []
@@ -117,12 +116,12 @@ def cmd_sojourn(args: argparse.Namespace) -> int:
         else:
             i = j = s
         row = {"i": i, "j": j, "value": vec.at(i, j)}
-        if payoffs is not None:
-            row["payoff"] = payoffs.at(i, j)
+        if with_payoff:
+            row["payoff"] = params.r0 - row["value"]
         rows.append(row)
 
     if args.format == "csv":
-        cols = ["i", "j", "value"] + (["payoff"] if payoffs is not None else [])
+        cols = ["i", "j", "value"] + (["payoff"] if with_payoff else [])
         print(",".join(cols))
         for row in rows:
             print(",".join(str(row[c]) if c in ("i", "j") else repr(float(row[c])) for c in cols))

@@ -349,7 +349,7 @@ def ess_check(params: ModelParams, x_e: float, deviations, *, ladder: Ladder | N
     sojourn ``ladder`` of the search that found x_e, the critical values and
     the root are read, not closed again.
     """
-    devs = [dx for dx in map(float, deviations) if abs(dx - x_e) > 1e-12]
+    devs = [dx for dx in (make_threshold(d).x for d in deviations) if abs(dx - x_e) > 1e-12]
     ladder = ladder or Ladder(params)
     cv = critical_values(params, 1, with_gamma=False, ladder=ladder)
     if abs(params.r0 - cv.alpha) <= TIE_TOL * cv.alpha:

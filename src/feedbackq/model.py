@@ -76,6 +76,8 @@ class ModelParams:
             raise ValueError(f"arrival rate must be positive, got {self.lam}")
         if self.mu <= 0.0:
             raise ValueError(f"service rate must be positive, got {self.mu}")
+        if not math.isfinite(self.lam + self.mu):  # every jump chance divides by it
+            raise ValueError(f"lam + mu must be finite, got {self.lam} + {self.mu}")
         if not 0.0 < self.q <= 1.0:
             raise ValueError(f"success probability must lie in (0, 1], got {self.q}")
         if self.r0 < 0.0:

@@ -23,12 +23,14 @@ queue length steps a chunk at a time by a blocked scan over a table
 composed for tuples of up to three events: numpy gathers compose each
 block's map, a Python walk makes one lookup per block, and gathers fill in
 the lengths inside the blocks.  The rest is vectorised over the chunk:
-counts per batch, holding times, event times by a cumulative sum, and
-occupancy summed in event order.  A renege-fraction run only counts, so it
-skips the clock: no holding or event times, no occupancy.  Payoff tracking
-treats the queue as a run of slots, each service reading the head slot and
-each join or staying failure appending one, and resolves every slot to its
-customer's join time by pointer doubling.
+counts per batch, holding times and occupancy summed in event order.  A
+batch's successes follow by conservation, joins minus reneges minus the
+queue's growth over the batch.  A renege-fraction run only counts, so it
+skips the clock: no holding times, no occupancy, no arrivals.  The payoff per
+arrival needs no customer to be followed: summed over the customers, the
+waiting bill is the time integral of the queue length (Little's law on the
+sample path; Brumelle 1971, Stidham 1974), so it is r0 times the successes
+less the occupancy-weighted queue length, per arrival.
 Outputs equal those of the earlier masked and per-event engines bit for bit.
 """
 
@@ -224,13 +226,13 @@ def _tagged_batch(
 def simulate_stationary(config: SimConfig, track_payoffs: bool = False) -> SimResult:
     """Time-weighted queue-length law from one long run.
 
-    With ``track_payoffs`` every post-warmup arrival's realised payoff is
-    recorded (zero for balkers, reward minus waiting bill for joiners who
-    complete, minus the waiting bill for joiners who abandon), estimating the
-    population payoff per arrival.  Standard errors come from batch means.
+    With ``track_payoffs`` it also estimates the population payoff per
+    arrival (balkers earn zero, joiners the reward on success minus their
+    waiting bill): per batch, r0 times the successes less the time integral
+    of the queue length, over the arrivals.  Standard errors come from batch
+    means.
     """
-    run = _population_run(config, track_payoffs=track_payoffs)
-    occupancy, batch_payoff_sums, batch_payoff_counts = run[0], run[3], run[4]
+    occupancy, _, _, successes, arrivals = _population_run(config)
     total = occupancy.sum(axis=0)
     histogram = total / total.sum()
     if occupancy.shape[0] > 1:
@@ -239,14 +241,12 @@ def simulate_stationary(config: SimConfig, track_payoffs: bool = False) -> SimRe
     else:
         hist_se = np.full(occupancy.shape[1], np.nan)
     measured = config.events - int(config.events * config.warmup)
-    estimates = {
-        "mean_queue": _batch_ratio(
-            (occupancy * np.arange(occupancy.shape[1])).sum(axis=1), occupancy.sum(axis=1),
-            measured,
-        )
-    }
+    waiting = (occupancy * np.arange(occupancy.shape[1])).sum(axis=1)
+    estimates = {"mean_queue": _batch_ratio(waiting, occupancy.sum(axis=1), measured)}
     if track_payoffs:
-        estimates["payoff_per_arrival"] = _batch_ratio(batch_payoff_sums, batch_payoff_counts)
+        estimates["payoff_per_arrival"] = _batch_ratio(
+            config.params.r0 * successes - waiting, arrivals
+        )
     return SimResult(estimates, histogram=histogram, histogram_se=hist_se)
 
 
@@ -254,7 +254,7 @@ def simulate_renege_fraction(config: SimConfig) -> SimResult:
     """Fraction of joining customers who abandon before a successful completion."""
     if config.mode != MODE_R:
         raise ValueError("the renege fraction is defined for the reneging game only")
-    _, joins, reneges, _, _ = _population_run(config, track_payoffs=False, clock=False)
+    _, joins, reneges, _, _ = _population_run(config, clock=False)
     return SimResult({"renege_fraction": _batch_ratio(reneges, joins)})
 
 
@@ -273,11 +273,10 @@ def _batch_ratio(numerators: np.ndarray, denominators: np.ndarray, count=None) -
     return Estimate(mean, se, int(total_d) if count is None else count)
 
 
-def _population_run(config: SimConfig, track_payoffs: bool, clock: bool = True):
-    """Shared ergodic engine: returns per-batch occupancy, join/renege counts,
-    and (optionally) per-batch payoff sums over arrivals.  Without the
-    ``clock`` it only counts: no holding times, event times or occupancy,
-    which stays zero (payoff tracking needs the clock)."""
+def _population_run(config: SimConfig, clock: bool = True):
+    """Shared ergodic engine: returns per-batch occupancy and counts of joins,
+    reneges, successes and arrivals.  Without the ``clock`` it makes no
+    holding times, and occupancy and arrivals stay zero."""
     params = config.params
     lam, mu, q = params.lam, params.mu, params.q
     pop = as_threshold(config.x)
@@ -295,8 +294,8 @@ def _population_run(config: SimConfig, track_payoffs: bool, clock: bool = True):
     occupancy = np.zeros((n_batches, kmax + 1))
     joins = np.zeros(n_batches)
     reneges = np.zeros(n_batches)
-    payoff_sums = np.zeros(n_batches)
-    payoff_counts = np.zeros(n_batches)
+    successes = np.zeros(n_batches)
+    arrivals = np.zeros(n_batches)
 
     step = _Stepper(*_transition_table(n, p, kmax, reneging))
     rng = np.random.default_rng(np.random.SeedSequence(config.seed))
@@ -305,11 +304,6 @@ def _population_run(config: SimConfig, track_payoffs: bool, clock: bool = True):
     # fill gives the same values as ``rng.exponential(1.0, CHUNK)``.
     exps, us, vs, ws = (np.empty(CHUNK) for _ in range(4))
     k = 0
-    now = 0.0
-    # Join times and batches (-1 before the window) of the queued customers,
-    # head first.
-    queue_t = np.empty(0)
-    queue_b = np.empty(0, dtype=np.int64)
     for first in range(0, config.events, CHUNK):
         rng.standard_exponential(out=exps)
         rng.random(out=us)
@@ -328,39 +322,30 @@ def _population_run(config: SimConfig, track_payoffs: bool, clock: bool = True):
         before, after = ks[:-1], ks[1:]
         joined = after > before
         leaves = (after < before) & ~succeeds  # only a service lowers k
-        arrival = (before == 0) | arrives
 
         win = min(max(warmup_events - first, 0), size)
         # Batch b holds the chunk's events starts[b]:ends[b], none if they are equal.
         ends = np.clip(bounds - first, win, size)
         starts = np.concatenate(([win], ends[:-1]))
+        arrival = ((before == 0) | arrives) if clock else None
         for b in np.flatnonzero(ends > starts):
             part = slice(starts[b], ends[b])
-            joins[b] += np.count_nonzero(joined[part])
-            reneges[b] += np.count_nonzero(leaves[part])
-            payoff_counts[b] += np.count_nonzero(arrival[part])
+            joined_b = np.count_nonzero(joined[part])
+            reneged_b = np.count_nonzero(leaves[part])
+            joins[b] += joined_b
+            reneges[b] += reneged_b
+            # The queue grew by its joins less its reneges and successes.
+            successes[b] += joined_b - reneged_b - (ks[ends[b]] - ks[starts[b]])
+            if clock:
+                arrivals[b] += np.count_nonzero(arrival[part])
         if not clock:
             continue
-        service = ~arrival
-        success = service & succeeds
-        batch = np.full(size, -1, dtype=np.int64)
-        batch[win:] = np.repeat(np.arange(n_batches), ends - starts)
-
-        dt = np.where(before == 0, e / lam, e / (lam + mu))
-        times = np.cumsum(np.concatenate(([now], dt)))[1:]  # the sequential sum
-        now = times[-1]
+        batch = np.repeat(np.arange(n_batches), ends - starts)
+        level = before[win:]
+        dt = np.where(level == 0, e[win:] / lam, e[win:] / (lam + mu))
         # add.at adds in event order, so every cell sums as the loop did.
-        np.add.at(occupancy, (batch[win:], before[win:]), dt[win:])
-        if track_payoffs:
-            queue_t, queue_b = _track_payoffs(
-                queue_t, queue_b, service, success, leaves, joined, times, batch, params.r0,
-                payoff_sums,
-            )
-    if track_payoffs:
-        # Arrivals still in flight never resolve a payoff; drop them from the
-        # denominator rather than counting them as zero.
-        payoff_counts -= np.bincount(queue_b[queue_b >= 0], minlength=n_batches)
-    return occupancy, joins, reneges, payoff_sums, payoff_counts
+        np.add.at(occupancy, (batch, level), dt)
+    return occupancy, joins, reneges, successes, arrivals
 
 
 def _transition_table(n: int, p: float, kmax: int, reneging: bool) -> tuple[list[int], int]:
@@ -452,46 +437,3 @@ class _Stepper:
         for i in range(whole, events):
             ks[i + 1] = single[stride * classes[i] + ks[i]]
         return ks
-
-
-def _track_payoffs(queue_t, queue_b, service, success, leaves, joined, times, batch, r0, payoff_sums):
-    """Follow one chunk's customers through the FIFO with feedback.
-
-    The queue is a run of slots: each service reads the head slot, and each
-    join or failed-and-staying customer appends one.  A stay's slot points at
-    the slot it read, so resolving pointers (by doubling) gives every slot its
-    customer's join time and batch.  Departures add their realised payoff in
-    event order; the unread slots are the queue carried into the next chunk.
-    """
-    held = len(queue_t)
-    read = np.cumsum(service) - 1  # slot read by each service
-    stays = service & ~success & ~leaves
-    appended = np.flatnonzero(joined | stays)
-    slots = held + len(appended)
-    source = np.arange(slots)
-    slot_t = np.empty(slots)
-    slot_b = np.empty(slots, dtype=np.int64)
-    slot_t[:held] = queue_t
-    slot_b[:held] = queue_b
-    new = held + np.arange(len(appended))
-    is_stay = stays[appended]
-    source[new[is_stay]] = read[appended[is_stay]]
-    slot_t[new[~is_stay]] = times[appended[~is_stay]]
-    slot_b[new[~is_stay]] = batch[appended[~is_stay]]
-    while True:
-        hop = source[source]
-        if np.array_equal(hop, source):
-            break
-        source = hop
-    slot_t = slot_t[source]
-    slot_b = slot_b[source]
-
-    departs = np.flatnonzero(success | leaves)
-    t_join = slot_t[read[departs]]
-    b = slot_b[read[departs]]
-    waited = times[departs] - t_join
-    realised = np.where(success[departs], r0 - waited, -waited)
-    counted = b >= 0
-    np.add.at(payoff_sums, b[counted], realised[counted])
-    served = int(service.sum())
-    return slot_t[served:], slot_b[served:]

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from feedbackq import cli
+from feedbackq import ModelParams, cli, total_payoff
 from feedbackq.cli import build_parser, main
 from feedbackq.equilibrium import EssReport
 
@@ -426,6 +426,16 @@ class TestSimulate:
         assert record["result"]["what"] == "stationary"
         assert len(record["result"]["histogram"]) == len(record["result"]["histogram_analytic"])
 
+    def test_tracked_payoff_per_arrival_matches_the_population_payoff(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "simulate", "--lambda", "1", "--mu", "0.8", "--q", "0.4", "--r0", "7.8",
+            "--threshold", "2.073", "--events", "200000", "--seed", "59", "--track-payoffs",
+        )
+        assert code == 0
+        est = json.loads(out)["result"]["estimates"]["payoff_per_arrival"]
+        target = total_payoff(ModelParams(1.0, 0.8, 0.4, 7.8), 2.073, 2.073)
+        assert abs(est["mean"] - target) <= 3.0 * est["se"]
+
     def test_tagged_run_needs_a_start(self, capsys):
         code, out, err = run_cli(
             capsys, "simulate", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
@@ -442,6 +452,20 @@ class TestSimulate:
         )
         assert (code, out) == (2, "")
         assert json.loads(err)["error"] == f"--start must be two integers i,j, got {start!r}"
+
+
+@pytest.mark.parametrize(
+    "argv", [["equilibrium"], ["sojourn", "--threshold", "3"], ["simulate", "--threshold", "2.5"]]
+)
+def test_rates_whose_sum_overflows_exit_two(capsys, argv):
+    # Each must return at once: lam + mu = inf zeroes every jump chance, and
+    # the equilibrium ascent would never stop.
+    code, out, err = run_cli(
+        capsys, argv[0], "--lambda", "1e308", "--mu", "1e308", "--q", "0.5", "--r0", "1",
+        *argv[1:],
+    )
+    assert (code, out) == (2, "")
+    assert "lam + mu must be finite" in json.loads(err)["error"]
 
 
 class TestSeedHandling:

@@ -261,6 +261,12 @@ class TestEss:
         assert report.is_ess
         assert report.strict_best == report.checked
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_deviations_are_rejected(self, bad):
+        params = params_of(REFERENCE_CASES[0])
+        with pytest.raises(ValueError, match="finite"):
+            ess_check(params, nash_n(params).x, [bad, 1.0])
+
     def test_tie_reward_is_not_ess(self):
         params = ModelParams(1.0, 0.8, 0.4)
         tie = params.with_r0(critical_values(params, 1).alpha)

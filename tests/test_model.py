@@ -35,6 +35,7 @@ class TestModelParams:
             dict(lam=1.0, mu=1.0, q=0.5, r0=-0.1),
             dict(lam=math.inf, mu=1.0, q=0.5),
             dict(lam=math.nan, mu=1.0, q=0.5),
+            dict(lam=1e308, mu=1e308, q=0.5, r0=1.0),  # lam + mu overflows
         ],
     )
     def test_invalid_construction(self, kwargs):

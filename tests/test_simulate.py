@@ -16,6 +16,7 @@ from feedbackq import (
     sojourn_vector,
     stationary_threshold,
     total_payoff,
+    welfare_r,
 )
 from feedbackq import simulate
 from feedbackq.model import as_threshold, chain_depth
@@ -135,6 +136,18 @@ class TestStationary:
         res = simulate_stationary(cfg, track_payoffs=True)
         target = total_payoff(params, 2.073038608, 2.073038608)
         assert within(res.estimates["payoff_per_arrival"], target)
+
+    def test_reneging_payoff_per_arrival_matches_welfare_per_arrival(self):
+        params = ModelParams(1.0, 0.8, 0.8, 18.0)
+        cfg = SimConfig(params=params, x=2.5, mode="r", events=400_000, seed=61)
+        res = simulate_stationary(cfg, track_payoffs=True)
+        assert within(res.estimates["payoff_per_arrival"], welfare_r(params, 2.5) / params.lam)
+
+    def test_payoff_per_arrival_counts_the_arrivals_in_the_window(self):
+        cfg = SimConfig(params=ModelParams(1.0, 0.8, 0.4, 7.8), x=2.073, events=20_000, seed=67)
+        _, joins, _, _, arrivals = _population_run(cfg)
+        est = simulate_stationary(cfg, track_payoffs=True).estimates["payoff_per_arrival"]
+        assert est.count == arrivals.sum() > joins.sum()
 
 
 class TestRenege:
@@ -283,17 +296,17 @@ def _engine_configs():
 class TestErgodicEngine:
     @pytest.mark.parametrize("config", _engine_configs(), ids=lambda c: f"seed{c.seed}")
     def test_matches_per_event_loop_bit_for_bit(self, config):
-        for track_payoffs in (False, True):
-            got = _population_run(config, track_payoffs)
-            want = population_run_oracle(config, track_payoffs)
-            assert len(got) == len(want) == 5
-            for a, b in zip(got, want):
-                np.testing.assert_array_equal(a, b, strict=True)
+        got = _population_run(config)
+        want = population_run_oracle(config)
+        assert len(got) == len(want) == 5
+        for a, b in zip(got, want):
+            np.testing.assert_array_equal(a, b, strict=True)
         # The count-only run simulate_renege_fraction makes skips the clock
-        # but counts joins and reneges exactly as the loop did.
-        _, joins, reneges, _, _ = _population_run(config, False, clock=False)
+        # but counts joins, reneges and successes exactly as the loop did.
+        _, joins, reneges, successes, _ = _population_run(config, clock=False)
         np.testing.assert_array_equal(joins, want[1], strict=True)
         np.testing.assert_array_equal(reneges, want[2], strict=True)
+        np.testing.assert_array_equal(successes, want[3], strict=True)
 
     def test_configs_cover_the_edge_cases(self):
         configs = _engine_configs()
@@ -310,9 +323,9 @@ class TestErgodicEngine:
         monkeypatch.setattr(simulate, "chain_depth", lambda th, reneging: th.n)
         cfg = SimConfig(params=ModelParams(1.0, 0.8, 0.8), x=2.5, events=10_000, seed=3)
         with pytest.raises(RuntimeError, match="exceeded its reachable level"):
-            _population_run(cfg, False)
+            _population_run(cfg)
         with pytest.raises(RuntimeError, match="exceeded its reachable level"):
-            _population_run(cfg, False, clock=False)
+            _population_run(cfg, clock=False)
         with pytest.raises(RuntimeError, match="exceeded its reachable level"):
             simulate_renege_fraction(dataclasses.replace(cfg, mode="r"))
 

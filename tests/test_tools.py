@@ -1,7 +1,10 @@
-"""tools/tree_times.py: each suite once on this checkout, one process, one pass."""
+"""tools/tree_times.py: each suite once on this checkout, one process, one
+pass; and how tools/bench_pairs.py names a checkout."""
 
 import hashlib
+import importlib.util
 import json
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -64,3 +67,18 @@ def test_close_items_carry_one_digest(suite_output):
     phases = ("build", "elimination", "back_substitution", "residual", "close")
     assert list(items) == [f"d{depth}.{phase}" for depth in (2, 4, 7, 12, 62) for phase in phases]
     assert len({item["sha256"] for item in items.values()}) == 1
+
+
+def test_checkout_without_git_metadata_is_unknown(tmp_path, monkeypatch):
+    spec = importlib.util.spec_from_file_location("bench_pairs", ROOT / "tools" / "bench_pairs.py")
+    bench_pairs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(bench_pairs)
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))  # no repository above
+    tree = tmp_path / "tree"
+    shutil.copytree(ROOT / "src", tree / "src")
+    exported = bench_pairs.checkout(tree)
+    assert exported == {"head": None, "dirty": None,
+                        "src_sha256": bench_pairs.checkout(ROOT)["src_sha256"]}
+    # git can tell a fresh repository's untracked sources, though it has no HEAD.
+    subprocess.run(["git", "init", "-q", str(tree)], check=True)
+    assert bench_pairs.checkout(tree) == {**exported, "dirty": True}

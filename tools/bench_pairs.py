@@ -42,17 +42,19 @@ SIDES = ("parent", "change")
 
 def checkout(path: Path) -> dict:
     """Git HEAD, whether the tree differs from it, and the sha256 over the
-    library's sources, in name order."""
+    library's sources, in name order.  HEAD and dirty are None where git
+    cannot tell, as in an exported tree."""
 
-    def git(*args: str) -> str:
+    def git(*args: str) -> str | None:
         done = subprocess.run(["git", "-C", str(path), *args], capture_output=True, text=True)
-        return done.stdout.strip() if done.returncode == 0 else ""
+        return done.stdout.strip() if done.returncode == 0 else None
 
     src = hashlib.sha256()
     for f in sorted((path / "src" / "feedbackq").glob("*.py")):
         src.update(f.read_bytes())
+    status = git("status", "--porcelain", "--", "src", "bench")
     return {"head": git("rev-parse", "HEAD") or None,
-            "dirty": bool(git("status", "--porcelain", "--", "src", "bench")),
+            "dirty": None if status is None else bool(status),
             "src_sha256": src.hexdigest()}
 
 
