@@ -13,6 +13,7 @@ import argparse
 import dataclasses
 import functools
 import json
+import math
 import os
 import secrets
 import sys
@@ -22,7 +23,6 @@ import numpy as np
 from . import __version__
 from .analytics import renege_probability, stationary_threshold
 from .equilibrium import (
-    CASE_MIXED,
     ROOT_TOL,
     EquilibriumResult,
     ess_check,
@@ -60,14 +60,7 @@ def _record(command: str, params: ModelParams, result, diagnostics=None) -> dict
 
 
 def _emit(record: dict) -> None:
-    print(json.dumps(record, sort_keys=True, default=_plain))
-
-
-def _plain(obj):
-    """A numpy array or scalar as the Python values ``json`` writes."""
-    if isinstance(obj, (np.ndarray, np.generic)):
-        return obj.tolist()
-    raise TypeError(f"{type(obj).__name__} is not JSON serializable")
+    print(json.dumps(record, sort_keys=True))
 
 
 def _equilibrium_payload(res: EquilibriumResult) -> dict:
@@ -190,14 +183,7 @@ def cmd_welfare(args: argparse.Namespace) -> int:
 def cmd_paradox(args: argparse.Namespace) -> int:
     params = _params_from(args)
     if args.r0_2 is not None:
-        ladder = Ladder(params)  # the comparison reads the search's critical values and root
-        base = nash_n(params, ladder=ladder)
-        if base.case != CASE_MIXED:
-            raise ValueError(
-                "the reward comparison needs a mixed equilibrium at --r0; "
-                f"got case {base.case!r}"
-            )
-        report = paradox1_check(params, base.m, params.r0, args.r0_2, ladder=ladder)
+        report = paradox1_check(params, params.r0, args.r0_2)
     else:
         report = paradox2_check(params)
     payload = dataclasses.asdict(report)
@@ -234,18 +220,23 @@ def cmd_simulate(args: argparse.Namespace) -> int:
         "what": what,
         "seed": seed,
         "estimates": {
-            k: {"mean": e.mean, "se": e.se, "count": e.count} for k, e in sim.estimates.items()
+            k: {"mean": e.mean, "se": _or_null(e.se), "count": e.count} for k, e in sim.estimates.items()
         },
     }
     if sim.histogram is not None:
         result["histogram"] = sim.histogram.tolist()
-        result["histogram_se"] = sim.histogram_se.tolist()
+        result["histogram_se"] = [_or_null(se) for se in sim.histogram_se.tolist()]
         analytic = stationary_threshold(params, args.threshold, config.mode).probs
         result["histogram_analytic"] = analytic.tolist()
     if what == "renege":
         result["renege_analytic"] = renege_probability(params, args.threshold)
     _emit(_record("simulate", params, result))
     return 0
+
+
+def _or_null(value: float) -> float | None:
+    """nan, a standard error from fewer than two batches or replications, as JSON null."""
+    return None if math.isnan(value) else value
 
 
 def _start_state(text: str) -> tuple[int, int]:

@@ -119,13 +119,9 @@ class EssReport:
     note: str = ""
 
 
-def critical_values(
-    params: ModelParams, m: int, *, with_gamma: bool = True, ladder: Ladder | None = None
-) -> CriticalValues:
+def critical_values(params: ModelParams, m: int, *, ladder: Ladder | None = None) -> CriticalValues:
     """alpha_m, beta_m, gamma_m via the chain solvers at integer threshold m.
 
-    ``with_gamma=False`` skips the reneging-tagged solve and leaves gamma nan;
-    the Nash ascent never reads it and solves for gamma once, where it stops.
     On one sojourn ``ladder`` both chains reuse the all-joining levels below m,
     and the ladder holds the values closed on it: they do not depend on the
     reward, so any later call at the ladder's rate point reads them, and
@@ -133,15 +129,23 @@ def critical_values(
     """
     m = positive_int(m, "m")
     ladder = ladder or Ladder(params)
+    cv = _alpha_beta(params, m, ladder)
+    if math.isnan(cv.gamma):
+        gamma = sojourn_vector_r_tagged(params, float(m), ladder=ladder).values.item(-1)
+        cv = ladder.critical[m] = CriticalValues(m, cv.alpha, cv.beta, gamma)
+    return cv
+
+
+def _alpha_beta(params: ModelParams, m: int, ladder: Ladder) -> CriticalValues:
+    """The critical values at m held on ``ladder``, closing alpha_m and beta_m
+    if not yet; gamma_m stays nan until :func:`critical_values` closes it.
+    The Nash ascent, :func:`chi` and :func:`ess_check` never read gamma."""
     ladder.admit(params)
     cv = ladder.critical.get(m)
     if cv is None:  # (m, m) and (m + 1, m + 1) end levels m and m + 1
         w = sojourn_vector(params, float(m), ladder=ladder).values
         cv = ladder.critical[m] = CriticalValues(m, w.item(level_offset(m + 1) - 1), w.item(-1), math.nan)
-    if with_gamma and math.isnan(cv.gamma):
-        gamma = sojourn_vector_r_tagged(params, float(m), ladder=ladder).values.item(-1)
-        cv = ladder.critical[m] = CriticalValues(m, cv.alpha, cv.beta, gamma)
-    return cv if with_gamma or math.isnan(cv.gamma) else CriticalValues(m, cv.alpha, cv.beta, math.nan)
+    return cv
 
 
 def _brent(objective, lo: float, hi: float, f_lo: float, f_hi: float) -> tuple[float, float, int]:
@@ -256,8 +260,8 @@ def chi(params: ModelParams, m: int) -> float:
     """
     m = positive_int(m, "m")
     ladder = Ladder(params)
-    beta_m = critical_values(params, m, with_gamma=False, ladder=ladder).beta
-    alpha_next = critical_values(params, m + 1, with_gamma=False, ladder=ladder).alpha
+    beta_m = _alpha_beta(params, m, ladder).beta
+    alpha_next = _alpha_beta(params, m + 1, ladder).alpha
     if not beta_m < params.r0 < alpha_next:
         raise ValueError(f"reward {params.r0} must lie strictly in ({beta_m}, {alpha_next}) for m={m}")
     return _mixed_root(params, m, beta_m, alpha_next, False, ladder)[0]
@@ -284,18 +288,18 @@ def nash_r(params: ModelParams, *, ladder: Ladder | None = None) -> EquilibriumR
 
 def _nash(params: ModelParams, reneging: bool, ladder: Ladder) -> EquilibriumResult:
     r0 = params.r0
-    cv = critical_values(params, 1, with_gamma=False, ladder=ladder)
+    cv = _alpha_beta(params, 1, ladder)
     case, x, m, interval, residual, evals = CASE_BALK, 0.0, None, None, None, 0
     if abs(r0 - cv.alpha) <= TIE_TOL * cv.alpha:
         case, interval = CASE_INDIFFERENCE, (0.0, 1.0)
     elif r0 >= cv.alpha:
         m = 1
         while r0 > cv.beta:
-            nxt = critical_values(params, m + 1, with_gamma=False, ladder=ladder)
+            nxt = _alpha_beta(params, m + 1, ladder)
             if r0 < nxt.alpha:
                 break
             m, cv = m + 1, nxt
-            if m > 100_000:  # alpha_m >= m / mu, so this is unreachable
+            if m > 100_000:  # alpha_m >= m / mu, so m <= mu r0: reached for r0 > 100,000 / mu
                 raise ConsistencyError("equilibrium search failed to terminate")
     cv = critical_values(params, cv.m, ladder=ladder)
     if m is not None:
@@ -304,7 +308,7 @@ def _nash(params: ModelParams, reneging: bool, ladder: Ladder) -> EquilibriumRes
             case, x = CASE_PURE, float(m)
         else:
             case = CASE_MIXED
-            alpha_next = critical_values(params, m + 1, with_gamma=False, ladder=ladder).alpha
+            alpha_next = _alpha_beta(params, m + 1, ladder).alpha
             x, residual, evals = _mixed_root(params, m, lower, alpha_next, reneging, ladder)
     return EquilibriumResult(
         "r" if reneging else "n", case, x, m=m, interval=interval, critical=cv,
@@ -351,15 +355,15 @@ def ess_check(params: ModelParams, x_e: float, deviations, *, ladder: Ladder | N
     """
     devs = [dx for dx in (make_threshold(d).x for d in deviations) if abs(dx - x_e) > 1e-12]
     ladder = ladder or Ladder(params)
-    cv = critical_values(params, 1, with_gamma=False, ladder=ladder)
+    cv = _alpha_beta(params, 1, ladder)
     if abs(params.r0 - cv.alpha) <= TIE_TOL * cv.alpha:
         note = "reward equals the lone-customer sojourn: all thresholds in [0, 1] tie"
         return EssReport(x_e, False, len(devs), 0, 0, tuple(devs), note)
     z = next(payoff_vectors(params, [x_e], False, ladder)).diagonal()
     n, p = branch_parts(make_threshold(x_e))
     if p and n >= 1:
-        beta = critical_values(params, n, with_gamma=False, ladder=ladder).beta
-        alpha_next = critical_values(params, n + 1, with_gamma=False, ladder=ladder).alpha
+        beta = _alpha_beta(params, n, ladder).beta
+        alpha_next = _alpha_beta(params, n + 1, ladder).alpha
         in_band = beta < params.r0 < alpha_next
         if in_band and _mixed_root(params, n, beta, alpha_next, False, ladder)[0] == x_e:
             z[n] = 0.0  # the indifference that defines the root

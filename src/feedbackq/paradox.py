@@ -14,15 +14,8 @@ import sys
 from dataclasses import dataclass, field
 
 from .analytics import stationary_threshold
-from .equilibrium import (
-    CASE_MIXED,
-    CASE_PURE,
-    critical_values,
-    nash_n,
-    nash_r,
-    equilibrium_payoffs_r,
-)
-from .model import ModelParams, as_threshold, branch_parts, positive_int
+from .equilibrium import CASE_MIXED, CASE_PURE, equilibrium_payoffs_r, nash_n, nash_r
+from .model import ModelParams, as_threshold, branch_parts
 from .qbd import Ladder
 from .solver import ConsistencyError, payoff_vectors, sojourn_vector
 
@@ -92,27 +85,24 @@ def sojourn_gap_closed_form(params: ModelParams, x: float) -> float:
 
 
 def paradox1_check(
-    params_base: ModelParams, m: int, r1: float, r2: float, *, ladder: Ladder | None = None
+    params_base: ModelParams, r1: float, r2: float, *, ladder: Ladder | None = None
 ) -> ParadoxReport:
     """Compare equilibrium payoffs at two rewards inside one mixed band.
 
-    Requires beta_m < r1 <= r2 < alpha_{m+1}; with r1 < r2 the payoff at
-    position m strictly drops when the reward rises.  Proved for m in {1, 2};
-    larger m is flagged as extrapolation.  On the ``ladder`` of a search at
-    these rates, the critical values and roots it holds are not closed again.
+    Requires beta_m < r1 <= r2 < alpha_{m+1}, the m the searches at both
+    rewards find; with r1 < r2 the payoff at position m strictly drops when
+    the reward rises.  Proved for m in {1, 2}; larger m is flagged as
+    extrapolation.  On the ``ladder`` of a search at these rates, the
+    critical values and roots it holds are not closed again.
     """
-    m = positive_int(m, "m")
     if not r1 <= r2:
         raise ValueError(f"rewards must satisfy r1 <= r2, got {r1} > {r2}")
     ladder = ladder or Ladder(params_base)  # the sojourn layout does not depend on the reward
-    cv = critical_values(params_base, m, with_gamma=False, ladder=ladder)
-    alpha_next = critical_values(params_base, m + 1, with_gamma=False, ladder=ladder).alpha
-    if not (cv.beta < r1 and r2 < alpha_next):
-        raise ValueError(f"rewards must lie strictly inside ({cv.beta}, {alpha_next}) for m={m}")
     results = [nash_n(params_base.with_r0(r), ladder=ladder) for r in (r1, r2)]
+    m = results[0].m
     for res, r in zip(results, (r1, r2)):
         if res.case != CASE_MIXED or res.m != m:
-            raise ConsistencyError(f"reward {r} did not produce a mixed equilibrium at m={m}")
+            raise ValueError(f"both rewards need one mixed band: {r} gives {res.case}, m={res.m}")
     payoffs = []
     for res, r in zip(results, (r1, r2)):
         z = next(payoff_vectors(params_base.with_r0(r), [res.x], False, ladder))

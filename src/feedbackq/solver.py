@@ -343,7 +343,8 @@ def payoff_vector_r_tagged(
 
     Because the tagged customer always collects the reward in this variant,
     the payoff solve and reward-minus-sojourn must coincide; both are
-    computed and cross-checked, as one [payoff | sojourn] right-hand side.
+    computed and cross-checked, as one [payoff | sojourn] right-hand side;
+    the reward enters it, so a ``ladder`` from a search or another reward is refused.
     """
     blocks = build_chain(params, x, VARIANT_RENEGING_TAGGED, ladder)
     rhs = np.empty((blocks.num_states, 2))  # [payoff | sojourn], without np.column_stack's wrapper
@@ -366,7 +367,9 @@ def payoff_vectors(
     """Payoffs at each x in turn, nobody or (``reneging``) everybody free to
     renege, solving every run of consecutive thresholds that share a chain
     depth as one stack (a run of one on its own), all on one ``ladder``: the
-    one passed, which must hold this layout, or a fresh one."""
+    one passed, which must hold this layout, or a fresh one.  Without
+    ``reneging`` a search's sojourn ladder holds it; with it, the reward enters
+    the layout, so a ladder from a search or another reward is refused."""
     variant = VARIANT_RENEGING_ALL if reneging else VARIANT_NONRENEGING
     ladder = ladder or Ladder(params)
     for depth, run in groupby(map(as_threshold, xs), key=lambda th: chain_depth(th, reneging)):

@@ -357,7 +357,7 @@ def test_criterion_9_paradox_suites():
             nxt = critical_values(params, m + 1)
             r1 = cv.beta + 0.25 * (nxt.alpha - cv.beta)
             r2 = cv.beta + 0.75 * (nxt.alpha - cv.beta)
-            rep = paradox1_check(params, m, r1, r2)
+            rep = paradox1_check(params, r1, r2)
             assert rep.verdicts["payoff_at_m_decreases"], (params, m, r1, r2)
 
     # full inequality set on the three reference columns

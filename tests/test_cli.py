@@ -364,9 +364,9 @@ class TestParadox:
         assert record["result"]["all_hold"] is True
 
     def test_reward_comparison_reads_the_search_ladder(self, capsys, monkeypatch):
-        # the check reads the critical values and the root at --r0 that the
-        # search left on the command's ladder: it closes r2's root and the two
-        # payoff chains, 21 closes in all where a fresh check made 32
+        # the command's one library call closes what a search at --r0 and a
+        # check on its ladder do: the check reads the search's critical values
+        # and root, and closes r2's root and the two payoff chains, 21 in all
         from feedbackq import Ladder, ModelParams, nash_n, paradox1_check, solver
 
         closes, solve = [], solver.solve_structured
@@ -375,7 +375,7 @@ class TestParadox:
         ladder = Ladder(params)
         base = nash_n(params, ladder=ladder)
         search = len(closes)
-        paradox1_check(params, base.m, 7.8, 7.9, ladder=ladder)
+        paradox1_check(params, 7.8, 7.9, ladder=ladder)
         library = len(closes)
         closes.clear()
         code, _, _ = run_cli(
@@ -392,6 +392,16 @@ class TestParadox:
         )
         assert code == 2
         assert "mixed" in json.loads(err)["error"]
+
+    @pytest.mark.parametrize("r0, r0_2", [("3.0", "7.8"), ("7.8", "9.0")])
+    def test_reward_comparison_outside_one_mixed_band_exits_2(self, capsys, r0, r0_2):
+        # a balking --r0 (the pure one is above), and an --r0-2 past alpha_3 = 8.776
+        code, out, err = run_cli(
+            capsys, "paradox", "--lambda", "1", "--mu", "0.8", "--q", "0.4",
+            "--r0", r0, "--r0-2", r0_2,
+        )
+        assert (code, out) == (2, "")
+        assert "one mixed band" in json.loads(err)["error"]
 
 
 class TestSimulate:
@@ -435,6 +445,22 @@ class TestSimulate:
         est = json.loads(out)["result"]["estimates"]["payoff_per_arrival"]
         target = total_payoff(ModelParams(1.0, 0.8, 0.4, 7.8), 2.073, 2.073)
         assert abs(est["mean"] - target) <= 3.0 * est["se"]
+
+    @pytest.mark.parametrize("run", [["--events", "1"], ["--start", "1,1", "--reps", "1"]])
+    def test_undefined_standard_errors_are_null(self, capsys, run):
+        # one batch or one replication leaves every standard error undefined:
+        # JSON null, not the NaN that no strict parser reads
+        def refuse(constant):
+            raise ValueError(f"{constant} is not JSON")
+
+        code, out, _ = run_cli(
+            capsys, "simulate", "--lambda", "1", "--mu", "0.8", "--q", "0.4", "--r0", "7.8",
+            "--threshold", "2.5", *run,
+        )
+        assert code == 0
+        result = json.loads(out, parse_constant=refuse)["result"]
+        assert [e["se"] for e in result["estimates"].values()] == [None] * len(result["estimates"])
+        assert result.get("histogram_se", [None]) == [None] * len(result.get("histogram", [0]))
 
     def test_tagged_run_needs_a_start(self, capsys):
         code, out, err = run_cli(

@@ -673,9 +673,10 @@ class TestMixedRootSearch:
             assert (other.m, other.critical) == (result.m, result.critical)
 
     def test_gamma_can_be_skipped(self):
+        # the ascent's reader closes alpha and beta only
         params = ModelParams(1.0, 0.8, 0.4)
         full = critical_values(params, 2)
-        bare = critical_values(params, 2, with_gamma=False)
+        bare = equilibrium._alpha_beta(params, 2, Ladder(params))
         assert (bare.alpha, bare.beta) == (full.alpha, full.beta)
         assert np.isnan(bare.gamma)
 
@@ -716,16 +717,16 @@ class TestHeldCriticalValues:
         ladder = Ladder(params)
         full = critical_values(params, 3, ladder=ladder)
         closed = self.count_closes(monkeypatch)
-        bare = critical_values(params, 3, with_gamma=False, ladder=ladder)
+        bare = equilibrium._alpha_beta(params, 3, ladder)
         assert (bare.m, bare.alpha, bare.beta) == (full.m, full.alpha, full.beta)
-        assert np.isnan(bare.gamma) and not np.isnan(full.gamma)
+        assert not np.isnan(full.gamma)
         assert critical_values(params, 3, ladder=ladder) == full
         assert closed == []
 
     def test_gamma_filled_on_demand(self, monkeypatch):
         params = ModelParams(1.0, 0.8, 0.4, 7.8)
         ladder = Ladder(params)
-        bare = critical_values(params, 3, with_gamma=False, ladder=ladder)
+        bare = equilibrium._alpha_beta(params, 3, ladder)
         closed = self.count_closes(monkeypatch)
         full = critical_values(params, 3, ladder=ladder)
         assert closed == ["reneging_tagged"]

@@ -76,7 +76,7 @@ class TestSojournGap:
 class TestRewardIncrease:
     def test_reference_band_pair(self):
         params = ModelParams(1.0, 0.8, 0.4)
-        report = paradox1_check(params, 2, 7.8, 7.9)
+        report = paradox1_check(params, 7.8, 7.9)
         assert report.verdicts["payoff_at_m_decreases"]
         assert report.thresholds[0] < report.thresholds[1]
         assert not report.conjecture
@@ -89,12 +89,13 @@ class TestRewardIncrease:
                 nxt = critical_values(params, m + 1)
                 r1 = cv.beta + 0.3 * (nxt.alpha - cv.beta)
                 r2 = cv.beta + 0.7 * (nxt.alpha - cv.beta)
-                report = paradox1_check(params, m, r1, r2)
+                report = paradox1_check(params, r1, r2)
+                assert m < report.thresholds[0] < report.thresholds[1] < m + 1
                 assert report.verdicts["payoff_at_m_decreases"]
 
     def test_degenerate_equal_rewards(self):
         params = ModelParams(1.0, 0.8, 0.4)
-        report = paradox1_check(params, 2, 7.8, 7.8)
+        report = paradox1_check(params, 7.8, 7.8)
         assert report.verdicts["payoff_at_m_decreases"]
         assert report.thresholds[0] == report.thresholds[1]
         assert "degenerate" in report.note
@@ -105,7 +106,7 @@ class TestRewardIncrease:
         nxt = critical_values(params, 4)
         r1 = cv.beta + 0.3 * (nxt.alpha - cv.beta)
         r2 = cv.beta + 0.7 * (nxt.alpha - cv.beta)
-        report = paradox1_check(params, 3, r1, r2)
+        report = paradox1_check(params, r1, r2)
         assert report.conjecture
 
     def test_on_the_search_ladder_closes_only_what_the_search_did_not(self, rng, monkeypatch):
@@ -128,30 +129,33 @@ class TestRewardIncrease:
             beta, alpha_next = critical_values(params, m).beta, critical_values(params, m + 1).alpha
             r1, r2 = sorted(rng.uniform(beta, alpha_next, 2))
             params = params.with_r0(r1)
-            fresh, fresh_closes = closed(lambda: paradox1_check(params, m, r1, r2))
+            fresh, fresh_closes = closed(lambda: paradox1_check(params, r1, r2))
             ladder = Ladder(params)
             res, search_closes = closed(lambda: nash_n(params, ladder=ladder))
-            report, ladder_closes = closed(lambda: paradox1_check(params, m, r1, r2, ladder=ladder))
+            report, ladder_closes = closed(lambda: paradox1_check(params, r1, r2, ladder=ladder))
             assert res.m == m and report == fresh
             assert ladder_closes == fresh_closes - search_closes
             assert ladder_closes == nash_n(params.with_r0(r2)).root_evals + 2
 
-    @pytest.mark.parametrize("m", [True, False, 2.0])
-    def test_rejects_bool_and_float_m(self, m):
-        with pytest.raises(ValueError):
-            paradox1_check(ModelParams(1.0, 0.8, 0.4), m, 7.8, 7.9)
-
-    def test_numpy_integer_m_is_taken_as_int(self):
-        params = ModelParams(1.0, 0.8, 0.4)
-        report = paradox1_check(params, np.int64(2), 7.8, 7.9)
-        assert report == paradox1_check(params, 2, 7.8, 7.9)
-
     def test_out_of_band_rejected(self):
         params = ModelParams(1.0, 0.8, 0.4)
         with pytest.raises(ValueError):
-            paradox1_check(params, 2, 7.0, 7.9)  # 7.0 < beta_2
+            paradox1_check(params, 7.0, 7.9)  # 7.0 < beta_2
         with pytest.raises(ValueError):
-            paradox1_check(params, 2, 7.9, 7.8)
+            paradox1_check(params, 7.9, 7.8)
+
+    @pytest.mark.parametrize(
+        "r1, r2, refused",
+        [
+            (7.5, 7.8, "7.5 gives pure, m=2"),  # alpha_2 <= r1 <= beta_2
+            (3.0, 7.8, "3.0 gives balk, m=None"),  # r1 < alpha_1
+            (7.8, 9.0, "9.0 gives pure, m=3"),  # the band ends at alpha_3
+            (7.8, 10.5, "10.5 gives mixed, m=3"),  # mixed on the next band
+        ],
+    )
+    def test_the_searches_decide_the_band(self, r1, r2, refused):
+        with pytest.raises(ValueError, match=f"one mixed band: {refused}$"):
+            paradox1_check(ModelParams(1.0, 0.8, 0.4), r1, r2)
 
 
 class TestRenegingOption:

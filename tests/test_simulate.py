@@ -104,6 +104,13 @@ class TestTagged:
         with pytest.raises(ValueError, match="depth-4"):
             simulate_tagged(cfg, (1, 5))
 
+    def test_unabsorbed_batch_raises(self, monkeypatch):
+        # from position 3 no replication can absorb in one step
+        monkeypatch.setattr(simulate, "MAX_BATCH_STEPS", 1)
+        cfg = SimConfig(params=ModelParams(1.0, 0.8, 0.4, 7.8), x=2.5, reps=10)
+        with pytest.raises(RuntimeError, match="failed to absorb"):
+            simulate_tagged(cfg, (3, 3))
+
 
 class TestStationary:
     def test_histogram_matches_analytic_law(self):

@@ -1,5 +1,6 @@
 """tools/tree_times.py: each suite once on this checkout, one process, one
-pass; and how tools/bench_pairs.py names a checkout."""
+pass; how tools/bench_pairs.py names a checkout; and one short run each of
+tools/records.py and tools/ess_sweep.py."""
 
 import hashlib
 import importlib.util
@@ -82,3 +83,26 @@ def test_checkout_without_git_metadata_is_unknown(tmp_path, monkeypatch):
     # git can tell a fresh repository's untracked sources, though it has no HEAD.
     subprocess.run(["git", "init", "-q", str(tree)], check=True)
     assert bench_pairs.checkout(tree) == {**exported, "dirty": True}
+
+
+def _tool_lines(script: str, *args: str) -> list[str]:
+    done = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / script), *args],
+        capture_output=True, text=True, check=True, timeout=300,
+    )
+    return done.stdout.splitlines()
+
+
+def test_records_digest_each_readme_command():
+    lines = _tool_lines("records.py", "--workload", "cli_readme", "--seed", "1")
+    assert len(lines) == 8
+    for line in lines:
+        seed, label, digest, failure = line.split("\t")
+        assert seed == "1" and label and failure == ""
+        assert len(digest) == 64 and set(digest) <= set("0123456789abcdef")
+
+
+def test_ess_sweep_two_lines_per_draw():
+    lines = _tool_lines("ess_sweep.py", "--seed", "1", "--draws", "2", "--oracle-depth", "8")
+    assert len(lines) == 4
+    assert [line.split("\t")[2] for line in lines] == ["eq", "any", "eq", "any"]
